@@ -4,13 +4,17 @@
 // algorithm change (update the constants) or an accidental regression.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <sstream>
 
 #include "analysis/digest.h"
 #include "baseline/traditional.h"
 #include "bench_suite/dct.h"
 #include "bench_suite/ewf.h"
 #include "core/allocator.h"
+#include "core/annealer.h"
+#include "core/ils.h"
 #include "datapath/vcd.h"
 #include "sched/asap_alap.h"
 #include "sched/fu_search.h"
@@ -105,6 +109,111 @@ TEST(Golden, ScheduleEnvelopesArePinned) {
     EXPECT_EQ(sr.fus.mul, r.mul) << r.len << (r.pipe ? "P" : "");
     EXPECT_EQ(Lifetimes(sr.schedule).min_registers(), r.minregs)
         << r.len << (r.pipe ? "P" : "");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Exact search trajectories. Each row runs one acceptance policy from a
+// fixed constructive start with a fixed seed and a small budget, and pins
+// the FNV-1a digest of the best binding plus the per-move-kind
+// attempted/accepted counts. Any change to the candidate stream (move-kind
+// picks, per-candidate RNG streams), to the engine's cost deltas or to the
+// acceptance rules moves at least one of these numbers.
+enum class Policy { kImprove, kAnneal, kIls };
+
+const char* policy_name(Policy p) {
+  switch (p) {
+    case Policy::kImprove: return "Policy::kImprove";
+    case Policy::kAnneal: return "Policy::kAnneal";
+    case Policy::kIls: return "Policy::kIls";
+  }
+  return "?";
+}
+
+ImproveResult run_policy(const Binding& start, Policy p, uint64_t seed) {
+  if (p == Policy::kImprove) {
+    ImproveParams ip;
+    ip.max_trials = 4;
+    ip.moves_per_trial = 1500;
+    ip.seed = seed;
+    return improve(start, ip);
+  }
+  if (p == Policy::kAnneal) {
+    AnnealParams ap;
+    ap.num_temps = 6;
+    ap.moves_per_temp = 1000;
+    ap.seed = seed;
+    return anneal(start, ap);
+  }
+  IlsParams lp;
+  lp.iterations = 4;
+  lp.descent_moves = 1500;
+  lp.seed = seed;
+  return iterated_local_search(start, lp);
+}
+
+/// Per-kind {attempted, accepted}, in MoveKind order (F1..F5, R1..R7).
+using KindCounts = std::array<std::array<long, 2>, kNumMoveKinds>;
+
+TEST(Golden, SearchTrajectoriesArePinned) {
+  struct Row {
+    const char* design;
+    Policy policy;
+    uint64_t digest;
+    KindCounts by_kind;
+  };
+  // Frozen on 2026-10-20; see file header before "fixing" these.
+  const Row rows[] = {
+      {"ewf", Policy::kImprove, 0x0d87737db7871da9ull,
+       {{{130, 13}, {369, 26}, {698, 159}, {383, 52}, {177, 51}, {701, 1},
+         {709, 16}, {18, 0}, {151, 8}, {348, 28}, {35, 27}, {42, 9}}}},
+      {"ewf", Policy::kAnneal, 0x7b9cb2ec2aec0ff9ull,
+       {{{186, 150}, {356, 307}, {698, 593}, {378, 293}, {299, 287},
+         {699, 512}, {694, 566}, {8, 7}, {109, 91}, {335, 239}, {236, 235},
+         {252, 237}}}},
+      {"ewf", Policy::kIls, 0x45a6494ac7ffd6aeull,
+       {{{166, 11}, {490, 36}, {878, 91}, {552, 39}, {119, 35}, {893, 14},
+         {871, 39}, {11, 1}, {203, 36}, {459, 29}, {31, 29}, {39, 17}}}},
+      {"dct", Policy::kImprove, 0x3a5c90b6d43a2323ull,
+       {{{102, 2}, {375, 20}, {698, 83}, {467, 0}, {0, 0}, {701, 13},
+         {710, 49}, {17, 1}, {161, 19}, {349, 39}, {38, 38}, {81, 59}}}},
+      {"dct", Policy::kAnneal, 0x019bdb0c1f9965d6ull,
+       {{{108, 83}, {309, 260}, {698, 610}, {359, 279}, {286, 273},
+         {696, 532}, {667, 573}, {6, 5}, {127, 108}, {334, 239}, {236, 235},
+         {313, 296}}}},
+      {"dct", Policy::kIls, 0x9ebf0cb040fe1b4aull,
+       {{{128, 9}, {458, 32}, {879, 139}, {487, 90}, {88, 88}, {893, 30},
+         {868, 94}, {24, 1}, {194, 30}, {461, 46}, {54, 43}, {95, 45}}}},
+  };
+  Ctx ewf(make_ewf(), 17, false, 1);
+  Ctx dct(make_dct(), 9, false, 1);
+  for (const Row& row : rows) {
+    const Ctx& ctx = std::string(row.design) == "ewf" ? ewf : dct;
+    const Binding start =
+        initial_allocation(*ctx.prob, InitialOptions{.seed = 1});
+    const ImproveResult res = run_policy(start, row.policy, 11);
+    KindCounts got{};
+    long attempted = 0, accepted = 0;
+    for (size_t k = 0; k < got.size(); ++k) {
+      got[k] = {res.stats.by_kind[k].attempted, res.stats.by_kind[k].accepted};
+      attempted += got[k][0];
+      accepted += got[k][1];
+    }
+    const uint64_t digest = digest_binding(res.best);
+    std::ostringstream actual;
+    actual << "{\"" << row.design << "\", " << policy_name(row.policy)
+           << ", 0x" << std::hex << digest << std::dec << "ull, {{";
+    for (size_t k = 0; k < got.size(); ++k)
+      actual << (k ? ", " : "") << "{" << got[k][0] << ", " << got[k][1] << "}";
+    actual << "}}},";
+    const std::string what =
+        std::string("actual row: ") + actual.str();
+    EXPECT_EQ(digest, row.digest) << what;
+    EXPECT_EQ(got, row.by_kind) << what;
+    // The per-kind breakdown and the policy's own totals count the same
+    // proposals (ILS kicks are accepted moves outside the descent policy).
+    EXPECT_EQ(attempted, res.stats.attempted + res.stats.kicks) << what;
+    EXPECT_EQ(accepted, res.stats.accepted + res.stats.kicks) << what;
   }
 }
 
