@@ -261,67 +261,37 @@ BENCHMARK(BM_ParallelRestarts)
     ->UseRealTime()
     ->Iterations(1);
 
-// Speculative proposal throughput: a full improve() run on the EWF with a
-// (threads x k) grid over the ProposalPipeline. k == 1 / 1 thread is the
-// sequential baseline; the "moves_per_sec" counters are directly comparable
-// across args because the trajectory (and thus the served move stream) is
-// byte-identical for every setting — only the scoring parallelism differs.
-// The "spec_hit" counter reports served / speculated for the batched runs.
-// (On a single-core host every arg degenerates to sequential wall clock;
-// the grid is meant for multicore runs — see EXPERIMENTS.md.)
-void speculative_moves(benchmark::State& state, ProblemBundle& bundle) {
-  const int threads = static_cast<int>(state.range(0));
-  const int k = static_cast<int>(state.range(1));
+// Sequential move throughput: a full improve() run from the constructive
+// start, counting feasible proposals per second of wall clock
+// ("moves_per_sec"). The EWF and DCT rows are the move-loop throughput
+// numbers of EXPERIMENTS.md "Move throughput".
+void improve_moves(benchmark::State& state, ProblemBundle& bundle) {
   Binding b = initial_allocation(*bundle.problem);
   long attempted = 0;
-  SpecStats spec;
   for (auto _ : state) {
     ImproveParams p;
     p.max_trials = 4;
     p.moves_per_trial = 3000;
     p.stop_after_stale = 4;
     p.seed = 1;
-    p.speculation.k = k;
-    p.speculation.parallelism.threads = threads;
     const ImproveResult r = improve(b, p);
     benchmark::DoNotOptimize(r.cost.total);
     attempted += r.stats.attempted;
-    spec = r.stats.spec;
   }
-  state.counters["threads"] = threads;
-  state.counters["k"] = k;
   state.counters["moves_per_sec"] = benchmark::Counter(
       static_cast<double>(attempted), benchmark::Counter::kIsRate);
-  state.counters["spec_hit"] =
-      spec.speculated
-          ? static_cast<double>(spec.served) /
-                static_cast<double>(spec.speculated)
-          : 0.0;
 }
 
-void BM_SpeculativeMoves(benchmark::State& state) {
-  speculative_moves(state, ewf17());
-}
-BENCHMARK(BM_SpeculativeMoves)
-    ->Args({1, 1})
-    ->Args({1, 8})
-    ->Args({2, 8})
-    ->Args({4, 8})
-    ->Args({8, 8})
-    ->Args({8, 16})
+void BM_ImproveMoves(benchmark::State& state) { improve_moves(state, ewf17()); }
+BENCHMARK(BM_ImproveMoves)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Iterations(1);
 
-// The same measurement on the DCT, the paper's larger benchmark. The
-// {1, 1} row is the second sequential-throughput acceptance number next to
-// BM_SpeculativeMoves/1/1 (see EXPERIMENTS.md "Move throughput").
-void BM_SpeculativeMovesDct(benchmark::State& state) {
-  speculative_moves(state, dct9());
+void BM_ImproveMovesDct(benchmark::State& state) {
+  improve_moves(state, dct9());
 }
-BENCHMARK(BM_SpeculativeMovesDct)
-    ->Args({1, 1})
-    ->Args({8, 8})
+BENCHMARK(BM_ImproveMovesDct)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Iterations(1);
@@ -482,10 +452,6 @@ class ThroughputCapture : public benchmark::ConsoleReporter {
       benchharness::ThroughputRow row;
       row.benchmark = run.benchmark_name();
       row.moves_per_sec = it->second.value;
-      if (const auto t = run.counters.find("threads"); t != run.counters.end())
-        row.threads = static_cast<int>(t->second.value);
-      if (const auto kk = run.counters.find("k"); kk != run.counters.end())
-        row.k = static_cast<int>(kk->second.value);
       rows.push_back(std::move(row));
     }
     ConsoleReporter::ReportRuns(reports);

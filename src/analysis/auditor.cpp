@@ -119,24 +119,4 @@ void InvariantAuditor::on_rollback(const SearchEngine& eng) {
     violation("rollback did not restore the incremental total");
 }
 
-void InvariantAuditor::on_speculate(const SearchEngine& worker, double delta) {
-  resolve_every(worker);
-  ++stats_.speculations;
-  const bool audit =
-      effective_every_ <= 1 || stats_.speculations % effective_every_ == 1;
-  if (!audit || !opts_.check_cost) return;
-  // The worker's transaction is still open: its incrementally maintained
-  // breakdown must equal a from-scratch evaluation of the speculatively
-  // mutated binding. The speculative delta is the weighted sum of the
-  // worker's component diffs, so matching counts prove the score honest.
-  if (!worker.matches_full_eval()) {
-    std::ostringstream os;
-    os << "speculative scoring (delta " << delta
-       << ") diverged from a from-scratch evaluation";
-    violation(os.str());
-  }
-}
-
-void InvariantAuditor::on_discard(const SearchEngine&) { ++stats_.discards; }
-
 }  // namespace salsa

@@ -74,8 +74,6 @@ struct AuditorStats {
   long commits = 0;
   long rollbacks = 0;
   long aborts = 0;     ///< infeasible proposals observed
-  long speculations = 0;  ///< speculative scorings observed (pipeline)
-  long discards = 0;      ///< invalidated speculations observed (pipeline)
 };
 
 class InvariantAuditor final : public SearchObserver {
@@ -98,14 +96,6 @@ class InvariantAuditor final : public SearchObserver {
   void on_txn_abort(const SearchEngine& eng) override;
   void on_commit(const SearchEngine& eng, double delta) override;
   void on_rollback(const SearchEngine& eng) override;
-  /// Speculative scoring on a worker engine (its transaction still open):
-  /// under the same `every` throttle, cross-checks the worker's incremental
-  /// breakdown against a from-scratch evaluate_cost — the speculative delta
-  /// is derived from those counts, so this proves the speculative score
-  /// honest. Called serialized by the pipeline (core/speculate.h), possibly
-  /// from pool threads.
-  void on_speculate(const SearchEngine& worker, double delta) override;
-  void on_discard(const SearchEngine& eng) override;
 
  private:
   [[noreturn]] void violation(const std::string& what) const;

@@ -11,7 +11,6 @@
 #include "bench_suite/random_cdfg.h"
 #include "core/initial.h"
 #include "core/search_engine.h"
-#include "core/speculate.h"
 #include "sched/fu_search.h"
 #include "util/rng.h"
 
@@ -223,137 +222,6 @@ SegmentDiffResult run_segment_diff(const AllocProblem& prob,
     res.ok = false;
     res.failure = os.str();
   }
-  return res;
-}
-
-// --- speculation fuzzer -----------------------------------------------------
-
-namespace {
-
-struct SpecStreamEntry {
-  long step = 0;
-  double delta = 0;
-  uint64_t digest = 0;
-  friend bool operator==(const SpecStreamEntry&,
-                         const SpecStreamEntry&) = default;
-};
-
-struct SpecDrive {
-  explicit SpecDrive(Binding b) : binding(std::move(b)) {}
-  bool ok = true;
-  std::string failure;
-  std::vector<SpecStreamEntry> stream;
-  SpecStats spec;
-  long commits = 0;
-  uint64_t final_digest = 0;
-  Binding binding;  ///< engine state at the end (or at the failure)
-};
-
-// Drives one pipeline for params.steps candidates with candidate-local
-// acceptance: keep every downhill move, keep uphill moves with probability
-// accept_prob drawn from the candidate's own RNG stream. Identical decision
-// streams across runs are therefore implied by identical candidate streams.
-SpecDrive drive_pipeline(const AllocProblem& prob, const SpecFuzzParams& params,
-                         int k, int threads, InvariantAuditor* auditor,
-                         long skip_nth) {
-  Binding start = initial_allocation(
-      prob, InitialOptions{.seed = derive_seed(params.seed, 0)});
-  SearchEngine eng(start);
-  if (auditor) eng.set_observer(auditor);
-  // The differential needs the speculative leg to actually speculate —
-  // pin the width past the pipeline's one-core auto-degrade.
-  SpeculationConfig sc{k, Parallelism{threads}};
-  sc.pin_width = true;
-  ProposalPipeline pipe(eng, params.moves, sc, derive_seed(params.seed, 1));
-  if (skip_nth > 0) pipe.inject_skip_footprint_check_for_test(skip_nth);
-  SpecDrive out(start);
-  Binding best = start;
-  double best_cost = eng.total();
-  try {
-    for (long i = 0; i < params.steps; ++i) {
-      const ProposalPipeline::Candidate c = pipe.next();
-      if (!c.feasible) continue;
-      Rng r = c.rng_after;
-      const bool accept = c.delta <= 0 || r.chance(params.accept_prob);
-      pipe.decide(accept);
-      if (!accept) continue;
-      ++out.commits;
-      out.stream.push_back({c.step, c.delta, digest_binding(eng.binding())});
-      if (eng.total() < best_cost) {
-        best = eng.binding();
-        best_cost = eng.total();
-      }
-      if (params.reset_every > 0 && out.commits % params.reset_every == 0)
-        pipe.reset_to(best);
-    }
-  } catch (const Error& e) {
-    out.ok = false;
-    out.failure = e.what();
-  }
-  out.spec = pipe.spec_stats();
-  out.final_digest = digest_binding(eng.binding());
-  out.binding = eng.binding();
-  return out;
-}
-
-std::string write_spec_artifact(const SpecFuzzParams& params,
-                                const SpecFuzzResult& res,
-                                const Binding& binding) {
-  std::error_code ec;
-  std::filesystem::create_directories(params.artifact_dir, ec);
-  const std::string path = params.artifact_dir + "/" + params.name + "-seed" +
-                           std::to_string(params.seed) + ".json";
-  std::ofstream out(path);
-  if (!out) return {};
-  out << "{\n  \"target\": \"" << params.name << "\",\n  \"seed\": "
-      << params.seed << ",\n  \"k\": " << params.k << ",\n  \"threads\": "
-      << params.threads << ",\n  \"commits\": " << res.commits
-      << ",\n  \"divergence\": " << res.divergence << ",\n  \"error\": \""
-      << json_escape(res.failure) << "\",\n  \"binding\": "
-      << binding_json(binding) << "}\n";
-  return out ? path : std::string{};
-}
-
-}  // namespace
-
-SpecFuzzResult run_speculation_fuzz(const AllocProblem& prob,
-                                    const SpecFuzzParams& params) {
-  SpecFuzzResult res;
-  InvariantAuditor seq_audit(params.audit);
-  InvariantAuditor spec_audit(params.audit);
-  const SpecDrive seq = drive_pipeline(prob, params, 1, 1, &seq_audit, 0);
-  const SpecDrive spec =
-      drive_pipeline(prob, params, params.k, params.threads, &spec_audit,
-                     params.skip_footprint_check_at);
-  res.commits = spec.commits;
-  res.spec = spec.spec;
-  if (!seq.ok) {
-    res.ok = false;
-    res.failure = "sequential reference failed: " + seq.failure;
-  } else if (!spec.ok) {
-    res.ok = false;
-    res.failure = spec.failure;
-  } else {
-    const size_t n = std::min(seq.stream.size(), spec.stream.size());
-    for (size_t i = 0; i < n && res.divergence < 0; ++i)
-      if (!(seq.stream[i] == spec.stream[i]))
-        res.divergence = static_cast<long>(i);
-    if (res.divergence < 0 && seq.stream.size() != spec.stream.size())
-      res.divergence = static_cast<long>(n);
-    if (res.divergence >= 0) {
-      res.ok = false;
-      std::ostringstream os;
-      os << "speculative trajectory diverged from sequential at commit "
-         << res.divergence << " (sequential " << seq.stream.size()
-         << " commits, speculative " << spec.stream.size() << ")";
-      res.failure = os.str();
-    } else if (seq.final_digest != spec.final_digest) {
-      res.ok = false;
-      res.failure = "final bindings differ despite identical commit streams";
-    }
-  }
-  if (!res.ok && !params.artifact_dir.empty())
-    res.artifact_path = write_spec_artifact(params, res, spec.binding);
   return res;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <thread>
 #include <utility>
 
 #include "bench_suite/dct.h"
@@ -190,8 +191,9 @@ void write_throughput_json(const std::string& path,
     char rate[32];
     std::snprintf(rate, sizeof rate, "%.10g", r.moves_per_sec);
     os << "  {\"benchmark\": \"" << r.benchmark
-       << "\", \"moves_per_sec\": " << rate << ", \"threads\": " << r.threads
-       << ", \"k\": " << r.k << ", \"git\": \"" << git_version << "\"}"
+       << "\", \"moves_per_sec\": " << rate << ", \"host_cores\": "
+       << std::thread::hardware_concurrency() << ", \"git\": \""
+       << git_version << "\"}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   os << "]\n";

@@ -85,13 +85,11 @@ std::vector<TableRow> table3_rows(const TableBudget& budget,
                                   Parallelism parallelism = {});
 
 /// One row of the throughput record bench_runtime emits
-/// (BENCH_throughput.json): a benchmark's served-move rate at one
-/// (threads, k) proposal-pipeline setting.
+/// (BENCH_throughput.json): a benchmark's move rate. The record also
+/// stamps the host's hardware thread count next to each rate.
 struct ThroughputRow {
   std::string benchmark;
   double moves_per_sec = 0;
-  int threads = 1;
-  int k = 1;
 };
 
 /// One row of the large-design scaling record bench_runtime emits
@@ -116,7 +114,7 @@ struct ScalingRow {
 std::string git_describe(std::string fallback = "unknown");
 
 /// Writes the rows to `path` as a JSON array of {benchmark, moves_per_sec,
-/// threads, k, git} objects. Overwrites; fails hard on I/O errors so CI
+/// host_cores, git} objects. Overwrites; fails hard on I/O errors so CI
 /// artifact uploads never silently archive a stale record.
 void write_throughput_json(const std::string& path,
                            const std::vector<ThroughputRow>& rows,

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "core/search_engine.h"
+#include "core/proposer.h"
 #include "core/verify.h"
 
 namespace salsa {
@@ -13,8 +13,7 @@ ImproveResult anneal(const Binding& start, const AnnealParams& params) {
   SearchEngine eng(start);
   eng.set_trace(params.trace);
   eng.set_observer(params.observer);
-  ProposalPipeline pipe(eng, params.moves, params.speculation, params.seed,
-                        params.trace != nullptr);
+  MoveProposer proposer(eng, params.moves, params.seed);
   Binding best = start;
   double best_cost = eng.total();
 
@@ -24,19 +23,18 @@ ImproveResult anneal(const Binding& start, const AnnealParams& params) {
     ++stats.trials;
     eng.set_trace_aux("temp", temp);
     for (int m = 0; m < params.moves_per_temp; ++m) {
-      const auto c = pipe.next();
+      const auto c = proposer.next();
       if (!c.feasible) continue;
       ++stats.attempted;
       bool accept = c.delta <= 0;
       if (!accept && temp > 1e-9) {
         // The Metropolis draw comes from the candidate's own RNG stream
         // (continued past the proposal draws), so acceptance randomness is
-        // a function of the candidate alone — identical whether the
-        // candidate was scored speculatively or proposed live.
+        // a function of the candidate alone.
         Rng r = c.rng_after;
         accept = r.uniform01() < std::exp(-c.delta / temp);
       }
-      pipe.decide(accept);
+      proposer.decide(accept);
       if (!accept) continue;
       ++stats.accepted;
       if (c.delta > 0) ++stats.uphill;
@@ -46,8 +44,7 @@ ImproveResult anneal(const Binding& start, const AnnealParams& params) {
       }
     }
   }
-  stats.by_kind = pipe.kind_stats();
-  stats.spec = pipe.spec_stats();
+  stats.by_kind = eng.kind_stats();
   check_legal(best);
   CostBreakdown final_cost = evaluate_cost(best);
   return ImproveResult{std::move(best), final_cost, stats};

@@ -1,6 +1,6 @@
 #include "core/ils.h"
 
-#include "core/search_engine.h"
+#include "core/proposer.h"
 #include "core/verify.h"
 
 namespace salsa {
@@ -8,15 +8,15 @@ namespace salsa {
 namespace {
 
 // Greedy descent: accept downhill/equal moves only.
-void descend(SearchEngine& eng, ProposalPipeline& pipe, int budget,
+void descend(SearchEngine& eng, MoveProposer& proposer, int budget,
              ImproveStats& stats) {
   eng.set_trace_aux("kick", 0);
   for (int m = 0; m < budget; ++m) {
-    const auto c = pipe.next();
+    const auto c = proposer.next();
     if (!c.feasible) continue;
     ++stats.attempted;
     const bool accept = c.delta <= 0;
-    pipe.decide(accept);
+    proposer.decide(accept);
     if (accept) ++stats.accepted;
   }
 }
@@ -31,15 +31,14 @@ ImproveResult iterated_local_search(const Binding& start,
   SearchEngine eng(start);
   eng.set_trace(params.trace);
   eng.set_observer(params.observer);
-  ProposalPipeline pipe(eng, params.moves, params.speculation, params.seed,
-                        params.trace != nullptr);
-  descend(eng, pipe, params.descent_moves, stats);
+  MoveProposer proposer(eng, params.moves, params.seed);
+  descend(eng, proposer, params.descent_moves, stats);
   Binding best = eng.binding();
   double best_cost = eng.total();
 
   for (int round = 0; round < params.iterations; ++round) {
     ++stats.trials;
-    pipe.reset_to(best);
+    eng.reset_to(best);
     // Kick: force a few random feasible moves, cost-blind. These are
     // perturbations of the incumbent, not acceptances of the descent
     // policy — they get their own counter.
@@ -47,20 +46,19 @@ ImproveResult iterated_local_search(const Binding& start,
     int kicked = 0;
     for (int k = 0; k < params.kick_moves * 4 && kicked < params.kick_moves;
          ++k) {
-      const auto c = pipe.next();
+      const auto c = proposer.next();
       if (!c.feasible) continue;
-      pipe.decide(true);
+      proposer.decide(true);
       ++kicked;
       ++stats.kicks;
     }
-    descend(eng, pipe, params.descent_moves, stats);
+    descend(eng, proposer, params.descent_moves, stats);
     if (eng.total() < best_cost - 1e-9) {
       best = eng.binding();
       best_cost = eng.total();
     }
   }
-  stats.by_kind = pipe.kind_stats();
-  stats.spec = pipe.spec_stats();
+  stats.by_kind = eng.kind_stats();
   check_legal(best);
   CostBreakdown final_cost = evaluate_cost(best);
   return ImproveResult{std::move(best), final_cost, stats};

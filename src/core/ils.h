@@ -21,8 +21,6 @@ struct IlsParams {
   std::ostream* trace = nullptr;
   /// Optional transaction observer (see ImproveParams::observer).
   SearchObserver* observer = nullptr;
-  /// Speculative proposal batching (see ImproveParams::speculation).
-  SpeculationConfig speculation;
 };
 
 /// Runs iterated local search from `start` (must be legal). Returns the

@@ -1,6 +1,6 @@
 #include "core/improver.h"
 
-#include "core/search_engine.h"
+#include "core/proposer.h"
 #include "core/verify.h"
 
 namespace salsa {
@@ -11,13 +11,7 @@ ImproveResult improve(const Binding& start, const ImproveParams& params) {
   SearchEngine eng(start);
   eng.set_trace(params.trace);
   eng.set_observer(params.observer);
-  // All proposals flow through the speculation pipeline: candidate i draws
-  // from its own derived RNG stream and is either scored speculatively
-  // against a snapshot or proposed live — the served trajectory is the
-  // same either way. Traced runs are forced sequential so the JSONL stream
-  // interleaves with engine state exactly as written.
-  ProposalPipeline pipe(eng, params.moves, params.speculation, params.seed,
-                        params.trace != nullptr);
+  MoveProposer proposer(eng, params.moves, params.seed);
   Binding best = start;
   double best_cost = eng.total();
 
@@ -29,7 +23,7 @@ ImproveResult improve(const Binding& start, const ImproveParams& params) {
     bool improved = false;
     for (int m = 0; m < params.moves_per_trial; ++m) {
       eng.set_trace_aux("uphill_left", uphill_left);
-      const auto c = pipe.next();
+      const auto c = proposer.next();
       if (!c.feasible) continue;
       ++stats.attempted;
       bool accept = c.delta <= 0;
@@ -38,7 +32,7 @@ ImproveResult improve(const Binding& start, const ImproveParams& params) {
         --uphill_left;
         ++stats.uphill;
       }
-      pipe.decide(accept);
+      proposer.decide(accept);
       if (!accept) continue;
       ++stats.accepted;
       if (eng.total() < best_cost - 1e-9) {
@@ -51,12 +45,11 @@ ImproveResult improve(const Binding& start, const ImproveParams& params) {
       stale = 0;
     } else {
       // Return to the best known allocation before exploring again.
-      pipe.reset_to(best);
+      eng.reset_to(best);
       if (++stale >= params.stop_after_stale) break;
     }
   }
-  stats.by_kind = pipe.kind_stats();
-  stats.spec = pipe.spec_stats();
+  stats.by_kind = eng.kind_stats();
   check_legal(best);
   CostBreakdown final_cost = evaluate_cost(best);
   return ImproveResult{std::move(best), final_cost, stats};

@@ -18,7 +18,6 @@
 #include "core/binding.h"
 #include "core/cost.h"
 #include "core/moves.h"
-#include "core/speculate.h"
 
 namespace salsa {
 
@@ -44,10 +43,6 @@ struct ImproveParams {
   /// invariant auditor (src/analysis/auditor.h) hooks in here. Not owned;
   /// nullptr (the default) costs one null check per transaction.
   SearchObserver* observer = nullptr;
-  /// Speculative proposal batching (core/speculate.h): width k and thread
-  /// budget. Defaults to the SALSA_SPECULATION environment variable, else
-  /// off. Trajectories are byte-identical for every setting.
-  SpeculationConfig speculation;
 };
 
 struct ImproveStats {
@@ -57,15 +52,10 @@ struct ImproveStats {
   long uphill = 0;     ///< kept despite a cost increase
   long kicks = 0;      ///< cost-blind perturbation moves (ILS only)
   /// Per-move-kind attempted/accepted/delta breakdown (see
-  /// io/report.h:search_stats_report for a rendering). Counts the served
-  /// trajectory only: candidates from discarded speculations are excluded
-  /// (they were never part of the search), so this is identical for every
-  /// speculation width and thread count.
+  /// io/report.h:search_stats_report for a rendering): the search engine's
+  /// kind_stats(), which counts every proposal the policy was served — ILS
+  /// kicks included.
   std::array<MoveKindStats, kNumMoveKinds> by_kind{};
-  /// Speculation hit/discard counters (all zero when speculation is off).
-  /// Deterministic for a fixed k, but *dependent* on k — callers comparing
-  /// stats across speculation settings compare everything but this field.
-  SpecStats spec;
 
   ImproveStats& operator+=(const ImproveStats& o) {
     trials += o.trials;
@@ -75,7 +65,6 @@ struct ImproveStats {
     kicks += o.kicks;
     for (int k = 0; k < kNumMoveKinds; ++k)
       by_kind[static_cast<size_t>(k)] += o.by_kind[static_cast<size_t>(k)];
-    spec += o.spec;
     return *this;
   }
 

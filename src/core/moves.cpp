@@ -389,22 +389,15 @@ bool move_val_move(SearchEngine& eng, Rng& rng) {
     // steps into one register mask — O(len x R/64) words instead of an
     // AND-any probe per register — and draw a clear bit. `cur` is busy on
     // its own arc, so it falls out of the mask automatically: same
-    // candidate set, same ascending order as the per-register loop. The
-    // mask lives in the engine's bound batch scratch when one is present
-    // (the speculation pipeline's contiguous per-candidate arena), with
-    // thread-local scratch as the sequential fallback; accumulation and
-    // reduction run through the word kernels of util/bitplane.h.
+    // candidate set, same ascending order as the per-register loop.
+    // Accumulation and reduction run through the word kernels of
+    // util/bitplane.h.
     const std::vector<int>& steps = lt.steps_of(sid);
     const BitPlane& bt = occ.reg_busy_t;
     const int words = bt.stride();
     static thread_local std::vector<uint64_t> busy_union_tl;
-    uint64_t* busy_union = eng.batch_scratch(words);
-    if (busy_union != nullptr) {
-      std::fill_n(busy_union, static_cast<size_t>(words), 0);
-    } else {
-      busy_union_tl.assign(static_cast<size_t>(words), 0);
-      busy_union = busy_union_tl.data();
-    }
+    busy_union_tl.assign(static_cast<size_t>(words), 0);
+    uint64_t* busy_union = busy_union_tl.data();
     for (const int t : steps) words_or_accumulate(busy_union, bt.row(t), words);
     const int busy = popcount_words(busy_union, words);
     const int nregs = b.prob().num_regs();
@@ -425,13 +418,8 @@ bool move_val_move(SearchEngine& eng, Rng& rng) {
     const BitPlane& bt = occ.reg_busy_t;
     const int words = bt.stride();
     static thread_local std::vector<uint64_t> busy_union_tl;
-    uint64_t* busy_union = eng.batch_scratch(words);
-    if (busy_union != nullptr) {
-      std::fill_n(busy_union, static_cast<size_t>(words), 0);
-    } else {
-      busy_union_tl.assign(static_cast<size_t>(words), 0);
-      busy_union = busy_union_tl.data();
-    }
+    busy_union_tl.assign(static_cast<size_t>(words), 0);
+    uint64_t* busy_union = busy_union_tl.data();
     // salsa-lint: allow(thread-local-scratch-discipline) every word is copy_n-overwritten from the busy row before any read
     static thread_local std::vector<uint64_t> step_tmp;
     step_tmp.resize(static_cast<size_t>(words));

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <ostream>
 
-#include "core/footprint.h"
-
 namespace salsa {
 
 namespace {
@@ -26,14 +24,6 @@ uint32_t pack(const Pin& p) {
 
 SearchEngine::SearchEngine(const Binding& start) : b_(start) {
   build_static();
-  init_from_statics();
-  rebuild();
-}
-
-SearchEngine::SearchEngine(const Binding& start, const SearchEngine& other)
-    : b_(start), statics_(other.statics_) {
-  SALSA_CHECK_MSG(&start.prob() == &other.b_.prob(),
-                  "sharing engine statics needs bindings of the same problem");
   init_from_statics();
   rebuild();
 }
@@ -144,7 +134,7 @@ void SearchEngine::build_static() {
   }
   for (int sid = 0; sid < S; ++sid)
     st.total_reads += static_cast<long>(lt.storage(sid).reads.size());
-  statics_ = std::make_shared<const EngineStatics>(std::move(st));
+  statics_ = std::make_unique<const EngineStatics>(std::move(st));
 }
 
 void SearchEngine::init_from_statics() {
@@ -165,7 +155,7 @@ void SearchEngine::init_from_statics() {
   // mutation hook (flat_map_hooks; no effect unless a test arms it).
   pair_refs_.mark_mutation_target();
   sink_sources_.mark_mutation_target();
-  // Transaction scratch. The journals and touch lists are pre-sized so the
+  // Transaction scratch. The journal and touch lists are pre-sized so the
   // steady-state move loop never grows them mid-proposal; the netting
   // tables (txn_delta_ / sink_delta_) are deliberately NOT pre-reserved —
   // drain() walks the whole slot array, so their per-proposal cost is
@@ -176,7 +166,6 @@ void SearchEngine::init_from_statics() {
   // the warmup moves and never rehashes again — the steady-state pin in
   // tests/test_audit_scaling.cpp snapshots index_rehashes() after warmup.
   undo_ints_.reserve(1024);
-  undo_words_.reserve(512);
   pending_uses_.reserve(512);
   sink_scratch_.reserve(256);
   touched_ops_.reserve(16);
@@ -386,14 +375,6 @@ void SearchEngine::add_key(uint64_t key) {
   }
 }
 
-void SearchEngine::remove_key(uint64_t key) {
-  if (pair_refs_.decrement(key) == 0) {
-    --cost_.connections;
-    if (sink_sources_.decrement(static_cast<uint32_t>(key >> 32)) != 0)
-      --cost_.muxes;
-  }
-}
-
 void SearchEngine::apply_pending_uses() {
   for (const PendingUse& u : pending_uses_) {
     // One add() per key applies the whole net; the count crosses zero at
@@ -423,18 +404,11 @@ void SearchEngine::add_gen(int gen, std::vector<uint64_t>& keys) {
   auto emit = [this, &keys](const Endpoint& src, const Pin& sink) {
     if (!statics_->charge_consts && src.kind == Endpoint::Kind::kConstPort)
       return;
-    const uint32_t sk = pack(sink);
-    if (fp_) fp_->add_sink(sk);
-    const uint64_t key = (static_cast<uint64_t>(sk) << 32) | pack(src);
+    const uint64_t key = (static_cast<uint64_t>(pack(sink)) << 32) | pack(src);
     keys.push_back(key);
-    if (!in_txn_) {
-      add_key(key);
-    } else if (fp_) {
-      // Footprint capture records every enumerated use; the sequential
-      // path instead nets old-vs-new key lists in finish_mutation, so
-      // unchanged uses never reach the scratch table at all.
-      txn_delta_.add(key, +1);
-    }
+    // Inside a transaction finish_mutation nets the old and new key lists,
+    // so unchanged uses never reach the index at all.
+    if (!in_txn_) add_key(key);
   };
   if (is_write_gen(gen)) {
     // Write generators enumerate per segment so the cache's per-segment
@@ -463,12 +437,12 @@ void SearchEngine::add_gen(int gen, std::vector<uint64_t>& keys) {
 
 void SearchEngine::add_write_gen_spliced(int sid, size_t stash_idx, int wlo,
                                          int whi, int whi_add) {
-  // Sequential path only (no footprint, no index side effects): refresh
-  // the write generator's cache by copying the pre-move key list's
-  // unchanged prefix and suffix around a fresh enumeration of the touched
-  // window. Segments outside the window kept their exact binding bytes, so
-  // the spliced list equals what a full re-enumeration would produce and
-  // the generic netting in finish_mutation sees identical inputs.
+  // No index side effects: refresh the write generator's cache by copying
+  // the pre-move key list's unchanged prefix and suffix around a fresh
+  // enumeration of the touched window. Segments outside the window kept
+  // their exact binding bytes, so the spliced list equals what a full
+  // re-enumeration would produce and the generic netting in
+  // finish_mutation sees identical inputs.
   const int gen = gen_writes(sid);
   // The cache still holds the pre-move list (retirement is bookkeeping
   // only); the spliced replacement builds in this removal's stash slot,
@@ -511,14 +485,14 @@ void SearchEngine::add_write_gen_spliced(int sid, size_t stash_idx, int wlo,
 }
 
 bool SearchEngine::add_read_gen_spliced(int sid, size_t stash_idx) {
-  // Sequential path only. Read keys depend on exactly three things: the
-  // register of the cell the read fetches from (changes only when that
-  // cell's segment is inside the mutation window), which cell the read
-  // fetches from (read_cell, saved on every touch), and the consumer's
-  // operand routing (ob.swap/ob.fu, changes only when the op was touched
-  // this epoch). Everything else copies from the cached pre-move list —
-  // for the common case of a storage with many reads outside a one-segment
-  // window, that's a memcpy-speed pass instead of re-deriving every key.
+  // Read keys depend on exactly three things: the register of the cell
+  // the read fetches from (changes only when that cell's segment is inside
+  // the mutation window), which cell the read fetches from (read_cell,
+  // saved on every touch), and the consumer's operand routing
+  // (ob.swap/ob.fu, changes only when the op was touched this epoch).
+  // Everything else copies from the cached pre-move list — for the common
+  // case of a storage with many reads outside a one-segment window, that's
+  // a memcpy-speed pass instead of re-deriving every key.
   const Storage& s = b_.prob().lifetimes().storage(sid);
   const StorageBinding& sb = b_.sto(sid);
   const std::vector<uint64_t>& olds =
@@ -590,38 +564,12 @@ void SearchEngine::remove_gen_once(int gen) {
   // nothing to undo). Swapping buffers here looked free but alternated
   // each slot's capacity between unrelated generators, so the refill
   // reallocated nearly every transaction.
-  if (fp_) {
-    // Footprint capture retires the cached keys into the scratch table
-    // eagerly; the sequential path nets old-vs-new in finish_mutation.
-    for (const uint64_t key : gen_keys_[static_cast<size_t>(gen)]) {
-      fp_->add_sink(static_cast<uint32_t>(key >> 32));
-      txn_delta_.add(key, -1);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
-// Resource claims (occupancy slots + fus_used/regs_used refcounts). Every
-// scalar write inside a transaction is journaled first, so rollback can
-// restore the grid and the refcount rows without re-enumerating the claims.
-
-void SearchEngine::add_op_claims(NodeId n) {
-  const Schedule& sched = b_.prob().sched();
-  const FuId f = b_.op(n).fu;
-  const int oc = statics_->op_occ[static_cast<size_t>(n)];
-  const int start = sched.start(n);
-  for (int t = start; t < start + oc; ++t) {
-    SALSA_DCHECK(occ_.fu_slot(f, t) == Occupancy::kFree);
-    journal_int(occ_.fu_slot(f, t));
-    journal_word(occ_.fu_busy_t.word(t, f));
-  }
-  journal_range_words(occ_.fu_busy, f, start, oc);
-  occ_.claim_fu_range(f, start, oc, n);
-  if (fp_) fp_->fu_events.push_back({f, +1});
-  int& refs = fu_refs_[static_cast<size_t>(f)];
-  journal_int(refs);
-  if (++refs == 1) ++cost_.fus_used;
-}
+// Resource claims (occupancy slots + fus_used/regs_used refcounts). A touch
+// releases the unit's claims unjournaled; finish_mutation only stages the
+// re-adds, and commit (or rollback, from the restored units) writes them.
 
 void SearchEngine::remove_op_claims(NodeId n) {
   const Schedule& sched = b_.prob().sched();
@@ -632,53 +580,8 @@ void SearchEngine::remove_op_claims(NodeId n) {
   for (int t = start; t < start + oc; ++t)
     SALSA_DCHECK(occ_.fu_slot(f, t) == n);
 #endif
-  // The sequential (no-footprint) path skips the journal: rollback
-  // restores the saved units and re-claims from them (see rollback), so
-  // the removal writes need no per-entry record.
-  if (fp_) {
-    for (int t = start; t < start + oc; ++t) {
-      journal_int(occ_.fu_slot(f, t));
-      journal_word(occ_.fu_busy_t.word(t, f));
-    }
-    journal_range_words(occ_.fu_busy, f, start, oc);
-    fp_->fu_events.push_back({f, -1});
-    journal_int(fu_refs_[static_cast<size_t>(f)]);
-  }
   occ_.release_fu_range(f, start, oc);
   if (--fu_refs_[static_cast<size_t>(f)] == 0) --cost_.fus_used;
-}
-
-void SearchEngine::add_sto_claims(int sid, int lo, int hi) {
-  const Lifetimes& lt = b_.prob().lifetimes();
-  const std::vector<int>& steps = lt.steps_of(sid);
-  const StorageBinding& sb = b_.sto(sid);
-  for (int seg = lo; seg <= hi; ++seg) {
-    const int step = steps[static_cast<size_t>(seg)];
-    for (const Cell& c : sb.cells[static_cast<size_t>(seg)]) {
-      SALSA_DCHECK(occ_.reg_slot(c.reg, step) == -1 ||
-                   occ_.reg_slot(c.reg, step) == sid);
-      journal_int(occ_.reg_slot(c.reg, step));
-      journal_word(occ_.reg_busy.word(c.reg, step));
-      journal_word(occ_.reg_busy_t.word(step, c.reg));
-      occ_.claim_reg(c.reg, step, sid);
-      if (fp_) fp_->reg_events.push_back({c.reg, +1});
-      int& rrefs = reg_refs_[static_cast<size_t>(c.reg)];
-      journal_int(rrefs);
-      if (++rrefs == 1) ++cost_.regs_used;
-      if (seg > 0 && c.via != kInvalidId) {
-        const int tstep = steps[static_cast<size_t>(seg - 1)];
-        SALSA_DCHECK(occ_.fu_slot(c.via, tstep) == Occupancy::kFree);
-        journal_int(occ_.fu_slot(c.via, tstep));
-        journal_word(occ_.fu_busy.word(c.via, tstep));
-        journal_word(occ_.fu_busy_t.word(tstep, c.via));
-        occ_.claim_fu(c.via, tstep, Occupancy::kPassThrough);
-        if (fp_) fp_->fu_events.push_back({c.via, +1});
-        int& frefs = fu_refs_[static_cast<size_t>(c.via)];
-        journal_int(frefs);
-        if (++frefs == 1) ++cost_.fus_used;
-      }
-    }
-  }
 }
 
 void SearchEngine::remove_sto_claims(int sid, int lo, int hi) {
@@ -691,27 +594,11 @@ void SearchEngine::remove_sto_claims(int sid, int lo, int hi) {
     // distinct registers (legality), so each clears its own slot.
     for (const Cell& c : sb.cells[static_cast<size_t>(seg)]) {
       SALSA_DCHECK(occ_.reg_slot(c.reg, step) == sid);
-      if (fp_) {
-        // Sequential removals go unjournaled — rollback re-claims from
-        // the restored units instead (see remove_op_claims).
-        journal_int(occ_.reg_slot(c.reg, step));
-        journal_word(occ_.reg_busy.word(c.reg, step));
-        journal_word(occ_.reg_busy_t.word(step, c.reg));
-        fp_->reg_events.push_back({c.reg, -1});
-        journal_int(reg_refs_[static_cast<size_t>(c.reg)]);
-      }
       occ_.release_reg(c.reg, step);
       if (--reg_refs_[static_cast<size_t>(c.reg)] == 0) --cost_.regs_used;
       if (seg > 0 && c.via != kInvalidId) {
         const int tstep = steps[static_cast<size_t>(seg - 1)];
         SALSA_DCHECK(occ_.fu_slot(c.via, tstep) == Occupancy::kPassThrough);
-        if (fp_) {
-          journal_int(occ_.fu_slot(c.via, tstep));
-          journal_word(occ_.fu_busy.word(c.via, tstep));
-          journal_word(occ_.fu_busy_t.word(tstep, c.via));
-          fp_->fu_events.push_back({c.via, -1});
-          journal_int(fu_refs_[static_cast<size_t>(c.via)]);
-        }
         occ_.release_fu(c.via, tstep);
         if (--fu_refs_[static_cast<size_t>(c.via)] == 0) --cost_.fus_used;
       }
@@ -770,9 +657,8 @@ void SearchEngine::normalize_and_stage_sto(int sid, int lo, int hi) {
 
 void SearchEngine::settle_staged_claims() {
   // The refcount rows still sit at their post-removal values, so a row is
-  // newly used exactly when it is at zero with staged adds pending. This
-  // reproduces the eager path's ++refs == 1 accounting: however many adds
-  // a row collects, only the zero -> positive transition charges.
+  // newly used exactly when it is at zero with staged adds pending: however
+  // many adds a row collects, only the zero -> positive transition charges.
   for (const int f : fu_staged_) {
     if (fu_refs_[static_cast<size_t>(f)] == 0) ++cost_.fus_used;
     fu_stage_[static_cast<size_t>(f)] = 0;
@@ -877,22 +763,14 @@ void SearchEngine::refresh_sto_stats(int sid) {
   const Storage& s = lt.storage(sid);
   for (const StorageRead& r : s.reads)
     fat += sb.cells[static_cast<size_t>(r.seg)].size() >= 2;
-  // Fold the recount into the selection Fenwicks as diffs, journaling every
-  // touched node (footprint-path transactions refresh mid-transaction and
-  // roll back by journal replay; the sequential path refreshes at commit
-  // with in_txn_ already false, where journaling is a no-op).
-  auto J = [this](int& slot) { journal_int(slot); };
+  // Fold the recount into the selection Fenwicks as diffs.
   auto upd = [&](std::vector<int>& row, Fenwick& fw, int now) {
     int& slot = row[static_cast<size_t>(sid)];
     if (slot == now) return;
-    journal_int(slot);
-    fw.add(sid, now - slot, J);
+    fw.add(sid, now - slot);
     slot = now;
   };
-  if (sto_cells_[static_cast<size_t>(sid)] != cells) {
-    journal_int(total_cells_);
-    total_cells_ += cells - sto_cells_[static_cast<size_t>(sid)];
-  }
+  total_cells_ += cells - sto_cells_[static_cast<size_t>(sid)];
   upd(sto_cells_, fw_cells_, cells);
   upd(sto_vias_, fw_vias_, vias);
   upd(sto_xfers_, fw_xfers_, xfers);
@@ -907,20 +785,18 @@ void SearchEngine::refresh_sto_stats(int sid) {
     int& slot = seg_size_[static_cast<size_t>(off) + seg];
     const int sz = static_cast<int>(sb.cells[seg].size());
     if (slot != sz) {
-      journal_int(slot);
       step_cells_[static_cast<size_t>(steps[seg])].add(
-          statics_->pos_in_step[static_cast<size_t>(off) + seg], sz - slot, J);
+          statics_->pos_in_step[static_cast<size_t>(off) + seg], sz - slot);
       slot = sz;
     }
   }
 }
 
 void SearchEngine::refresh_sto_stats_window(int sid, int wlo, int whi) {
-  // Sequential commit only (in_txn_ already false, journaling a no-op):
-  // diff the saved pre-move window against the current binding and fold
-  // the difference into the counters. Every predicate is evaluated the
-  // exact way the full recount evaluates it, on both sides, so
-  // old + (new_window - old_window) equals a from-scratch recount — the
+  // Commit only: diff the saved pre-move window against the current
+  // binding and fold the difference into the counters. Every predicate is
+  // evaluated the exact way the full recount evaluates it, on both sides,
+  // so old + (new_window - old_window) equals a from-scratch recount — the
   // out-of-window rows are byte-identical in both states.
   const Lifetimes& lt = b_.prob().lifetimes();
   const StorageBinding& sb = b_.sto(sid);
@@ -982,18 +858,12 @@ void SearchEngine::refresh_sto_stats_window(int sid, int wlo, int whi) {
     if (r.seg < wlo || r.seg > whi) continue;
     d_fat += (new_row(r.seg).size() >= 2) - (old_row(r.seg).size() >= 2);
   }
-  auto J = [this](int& slot) { journal_int(slot); };
   auto upd = [&](std::vector<int>& row, Fenwick& fw, int d) {
     if (d == 0) return;
-    int& slot = row[static_cast<size_t>(sid)];
-    journal_int(slot);
-    fw.add(sid, d, J);
-    slot += d;
+    fw.add(sid, d);
+    row[static_cast<size_t>(sid)] += d;
   };
-  if (d_cells != 0) {
-    journal_int(total_cells_);
-    total_cells_ += d_cells;
-  }
+  total_cells_ += d_cells;
   upd(sto_cells_, fw_cells_, d_cells);
   upd(sto_vias_, fw_vias_, d_vias);
   upd(sto_xfers_, fw_xfers_, d_xfers);
@@ -1005,9 +875,8 @@ void SearchEngine::refresh_sto_stats_window(int sid, int wlo, int whi) {
     int& slot = seg_size_[static_cast<size_t>(off + seg)];
     const int sz = static_cast<int>(sb.cells[static_cast<size_t>(seg)].size());
     if (slot != sz) {
-      journal_int(slot);
       step_cells_[static_cast<size_t>(steps[static_cast<size_t>(seg)])].add(
-          statics_->pos_in_step[static_cast<size_t>(off + seg)], sz - slot, J);
+          statics_->pos_in_step[static_cast<size_t>(off + seg)], sz - slot);
       slot = sz;
     }
   }
@@ -1041,11 +910,11 @@ StorageBinding& SearchEngine::touch_sto(int sid, int mlo, int mhi) {
   // mutation: a reg change at mhi retargets the transfers into mhi+1 and
   // can clear hold-vias there. Everything further right keeps its exact
   // bytes (no insert/erase outside [mlo, mhi] means stable parent indices
-  // and regs), so the windowed walks are exact. Footprint capture and
-  // windows-off mode force the whole storage.
+  // and regs), so the windowed walks are exact. Windows-off mode forces the
+  // whole storage.
   int lo = mlo;
   int hi = mhi + 1 < len ? mhi + 1 : len - 1;
-  if (fp_ || !seg_windows_) {
+  if (!seg_windows_) {
     lo = 0;
     hi = len - 1;
   }
@@ -1107,7 +976,7 @@ StorageBinding& SearchEngine::touch_sto(int sid, int mlo, int mhi) {
 
 StorageBinding& SearchEngine::touch_sto_reads(int sid) {
   SALSA_DCHECK(in_txn_);
-  if (fp_ || !seg_windows_) return touch_sto(sid);
+  if (!seg_windows_) return touch_sto(sid);
   StorageBinding& sb = b_.sto(sid);
   // Any prior touch of this storage already saved read_cell and retired
   // the read generator.
@@ -1128,59 +997,45 @@ StorageBinding& SearchEngine::touch_sto_reads(int sid) {
 }
 
 void SearchEngine::finish_mutation() {
-  if (fp_) {
-    // Normalisation may clear `via` fields, so it must precede the re-adds.
-    // Footprint capture needs the fu/reg occupancy events pushed as the
-    // claims land, so the speculative path re-adds eagerly as before.
-    for (int sid : touched_sids_) b_.normalize_storage(sid);
-    for (const TouchedOp& t : touched_ops_) add_op_claims(t.n);
-    for (int sid : touched_sids_) {
-      // Footprint-path touches always cover the whole storage (touch_sto
-      // forces the full window under capture).
-      add_sto_claims(sid, 0, static_cast<int>(b_.sto(sid).cells.size()) - 1);
-      refresh_sto_stats(sid);
-    }
-  } else {
-    // Sequential path: evaluate the re-adds read-only and defer the table
-    // writes to commit — a rejected move never touches the occupancy
-    // grids, planes or refcount rows on the add side.
-    // The per-storage stats (sto_cells_/sto_vias_/sto_xfers_/total_cells_)
-    // only feed candidate enumeration in *later* proposals, never the
-    // pending delta, so their recount rides along to commit too.
-    claims_pending_ = true;
-    for (const TouchedOp& t : touched_ops_) stage_op_claims(t.n);
-    for (int sid : touched_sids_) {
-      const int wlo = sto_wlo_[static_cast<size_t>(sid)];
-      const int whi = sto_whi_[static_cast<size_t>(sid)];
-      if (whi < wlo) continue;  // read-only touch: no cells changed
-      const int len = static_cast<int>(b_.sto(sid).cells.size());
-      if (!(wlo == 0 && whi == len - 1)) {
-        // Mutation hook (--break-segment-window): the Nth windowed re-add
-        // drops its last segment on the add side only. The removals kept
-        // the full window, so the occupancy grid, refcounts and key cache
-        // drift from the binding — the audit wall must catch it.
-        ++seg_window_hooks::windowed_txns;
-        if (seg_window_hooks::break_claim_window_after > 0 &&
-            seg_window_hooks::windowed_txns >=
-                seg_window_hooks::break_claim_window_after) {
-          seg_window_hooks::break_claim_window_after = 0;  // one-shot
-          sto_whi_add_[static_cast<size_t>(sid)] = whi - 1;
-        }
+  // Evaluate the re-adds read-only and defer the table writes to commit — a
+  // rejected move never touches the occupancy grids, planes or refcount
+  // rows on the add side. The per-storage stats (sto_cells_/sto_vias_/
+  // sto_xfers_/total_cells_) only feed candidate enumeration in *later*
+  // proposals, never the pending delta, so their recount rides along to
+  // commit too.
+  claims_pending_ = true;
+  for (const TouchedOp& t : touched_ops_) stage_op_claims(t.n);
+  for (int sid : touched_sids_) {
+    const int wlo = sto_wlo_[static_cast<size_t>(sid)];
+    const int whi = sto_whi_[static_cast<size_t>(sid)];
+    if (whi < wlo) continue;  // read-only touch: no cells changed
+    const int len = static_cast<int>(b_.sto(sid).cells.size());
+    if (!(wlo == 0 && whi == len - 1)) {
+      // Mutation hook (--break-segment-window): the Nth windowed re-add
+      // drops its last segment on the add side only. The removals kept
+      // the full window, so the occupancy grid, refcounts and key cache
+      // drift from the binding — the audit wall must catch it.
+      ++seg_window_hooks::windowed_txns;
+      if (seg_window_hooks::break_claim_window_after > 0 &&
+          seg_window_hooks::windowed_txns >=
+              seg_window_hooks::break_claim_window_after) {
+        seg_window_hooks::break_claim_window_after = 0;  // one-shot
+        sto_whi_add_[static_cast<size_t>(sid)] = whi - 1;
       }
-      const int hi = sto_whi_add_[static_cast<size_t>(sid)];
-      if (hi >= wlo) normalize_and_stage_sto(sid, wlo, hi);
     }
-    settle_staged_claims();
+    const int hi = sto_whi_add_[static_cast<size_t>(sid)];
+    if (hi >= wlo) normalize_and_stage_sto(sid, wlo, hi);
   }
+  settle_staged_claims();
   for (size_t i = 0; i < removed_gens_.size(); ++i) {
     const int gen = removed_gens_[i];
-    // Sequential windowed refresh for write generators: splice the cached
+    // Windowed refresh for write generators: splice the cached
     // key list instead of re-enumerating the whole storage. A write
     // generator retired through touch_op (producer FU change) with no
     // storage touch only changes segment 0's keys, so it splices over the
     // [0, 0] window.
     bool spliced = false;
-    if (!fp_ && seg_windows_ && is_write_gen(gen)) {
+    if (seg_windows_ && is_write_gen(gen)) {
       const int sid = gen / 2;
       const int len = static_cast<int>(b_.sto(sid).cells.size());
       int wlo = len, whi = -1, whi_add = -1;
@@ -1204,11 +1059,10 @@ void SearchEngine::finish_mutation() {
         add_write_gen_spliced(sid, i, wlo, whi, whi_add);
         spliced = true;
       }
-    } else if (!fp_ && seg_windows_ && is_read_gen(gen)) {
+    } else if (seg_windows_ && is_read_gen(gen)) {
       spliced = add_read_gen_spliced(gen / 2, i);
     }
     if (!spliced) add_gen(gen, gen_stash_[i]);
-    if (fp_) continue;  // footprint capture already pushed both sides
     // Net the retired key list (still in the cache) against the fresh one
     // (in the stash slot). A touched generator usually re-enumerates
     // almost the same uses in the same deterministic order, so skipping
@@ -1281,57 +1135,24 @@ void SearchEngine::finish_mutation() {
   // so rejected proposals never pay for the weighted sum.
 }
 
-std::optional<double> SearchEngine::propose(MoveKind kind, Rng& rng,
-                                            MoveFootprint* fp) {
+std::optional<double> SearchEngine::propose(MoveKind kind, Rng& rng) {
   SALSA_DCHECK(!in_txn_);
   if (observer_) observer_->on_txn_begin(*this);
   in_txn_ = true;
   ++epoch_;
   cost_before_ = cost_;
-  if (fp) {
-    fp->clear();
-    fp->read_mask = MoveFootprint::read_mask_of(kind);
-  }
-  fp_ = fp;
   if (!detail::dispatch_move(*this, kind, rng)) {
     SALSA_DCHECK(touched_ops_.empty() && touched_sids_.empty());
-    fp_ = nullptr;
     in_txn_ = false;
     if (observer_) observer_->on_txn_abort(*this);
     return std::nullopt;
   }
   finish_mutation();
-  if (fp) {
-    // Write categories from the touched set. FuOcc is written when an op
-    // changed FU or when any touched storage carries a pass-through `via`
-    // in its saved or current cells (via claims occupy FU slots; the
-    // conservative both-sides check covers moves that add or drop a via).
-    if (!touched_ops_.empty()) fp->write_mask |= MoveFootprint::kOps;
-    if (!touched_sids_.empty())
-      fp->write_mask |= MoveFootprint::kStoCells | MoveFootprint::kRegOcc;
-    for (const TouchedOp& t : touched_ops_)
-      if (b_.op(t.n).fu != t.saved.fu) fp->write_mask |= MoveFootprint::kFuOcc;
-    auto has_via = [](const StorageBinding& sb) {
-      for (const auto& seg : sb.cells)
-        for (const Cell& c : seg)
-          if (c.via != kInvalidId) return true;
-      return false;
-    };
-    for (int sid : touched_sids_) {
-      if (has_via(sto_save_[static_cast<size_t>(sid)]) ||
-          has_via(b_.sto(sid)))
-        fp->write_mask |= MoveFootprint::kFuOcc;
-    }
-    fp->finalize();
-  }
-  fp_ = nullptr;
   pending_kind_ = kind;
   // The delta is the weighted sum of the *integer component diffs*, not
   // total_after - total_before: that way it depends only on what the move
-  // changed, never on the absolute counts it changed them from, so a
-  // speculation scored against a snapshot reproduces the live delta
-  // bit-for-bit even under fractional cost weights (the replay cross-check
-  // in core/speculate.cpp relies on this).
+  // changed, never on the absolute counts it changed them from, so equal
+  // moves score bit-identical deltas even under fractional cost weights.
   {
     const CostWeights& w = b_.prob().weights();
     pending_delta_ = w.fu * (cost_.fus_used - cost_before_.fus_used) +
@@ -1353,10 +1174,6 @@ void SearchEngine::commit() {
   ks.accepted_delta_sum += pending_delta_;
   trace_decision(true);
   const double delta = pending_delta_;
-  // The transaction is over either way from here; dropping the flag early
-  // keeps the commit-time stats refresh from pushing journal entries that
-  // end_txn would only discard.
-  in_txn_ = false;
   recompute_total();  // finish_mutation leaves the weighted total stale
   apply_pending_claims();
   apply_pending_uses();
@@ -1394,10 +1211,9 @@ void SearchEngine::rollback() {
     if (observer_) observer_->on_rollback(*this);
     return;
   }
-  // Restore the saved units, then replay the undo journal in reverse: the
-  // connection index takes back each charged/retired pair, and every
-  // occupancy slot and refcount row returns to its recorded value — no
-  // re-enumeration of the touched units' uses or claims.
+  // Restore the saved units, replay the undo journal in reverse and
+  // re-claim the touch-time releases — no re-enumeration of the touched
+  // units' uses.
   for (const TouchedOp& t : touched_ops_) b_.op(t.n) = t.saved;
   // The retired generators' caches still hold the pre-move key lists (the
   // fresh enumerations built in the stash slots and are simply dropped),
@@ -1420,12 +1236,7 @@ void SearchEngine::rollback() {
   // The shared index was never written (the netted deltas are still
   // pending); dropping them in end_txn is the whole index rollback.
   for (size_t i = undo_ints_.size(); i-- > 0;) *undo_ints_[i].p = undo_ints_[i].old;
-  // Busy-plane words, same reverse discipline (journaled per word, possibly
-  // more than once; the first-journaled pre-transaction value lands last).
-  for (size_t i = undo_words_.size(); i-- > 0;)
-    *undo_words_[i].p = undo_words_[i].old;
-  // Sequential transactions journal nothing (the loops above are empty):
-  // the touch-time removals are undone by re-claiming straight from the
+  // The touch-time removals are undone by re-claiming straight from the
   // units just restored — identical writes to what the removals released,
   // and the per-claim ++ brings every refcount row back exactly.
   if (claims_pending_) {
@@ -1442,7 +1253,6 @@ void SearchEngine::end_txn() {
   touched_sids_.clear();
   removed_gens_.clear();
   undo_ints_.clear();
-  undo_words_.clear();
   pending_uses_.clear();
   claims_pending_ = false;
   in_txn_ = false;
@@ -1502,7 +1312,7 @@ bool SearchEngine::matches_full_eval() const {
 
 bool SearchEngine::index_matches_rebuild(std::string* why) const {
   SALSA_DCHECK(!in_txn_);
-  const SearchEngine fresh(b_, *this);
+  const SearchEngine fresh(b_);
   auto diverged = [&](const std::string& what) {
     if (why) {
       if (!why->empty()) *why += "; ";

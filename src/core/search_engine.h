@@ -23,19 +23,14 @@
 //
 // The connection index lives in two FlatMap tables (util/flat_map.h):
 // packed (sink, source) pair -> refcount and packed sink -> distinct-source
-// count. Every index mutation a transaction performs — map increments and
-// decrements, occupancy-slot writes, FU/register refcount updates — is
-// additionally recorded in an undo journal, so rollback() restores the
-// derived state by replaying the journal in reverse (O(journal), no
-// re-enumeration of the touched units' uses) and restoring the saved
-// binding units; the cost breakdown returns wholesale to its
-// propose()-entry value. Commit is O(1): the journal is simply dropped.
-//
-// The problem-side static tables (per-operation generator lists, constant
-// layout) are immutable after construction and shared between engines of
-// the same problem via shared_ptr — the speculation pipeline's worker
-// engines (core/speculate.h) score candidates against the very rows the
-// main engine reads, and constructing a worker no longer re-derives them.
+// count. A transaction never writes them before its decision: propose()
+// nets the touched generators' old and new use lists in a scratch table,
+// probes the shared tables read-only for the cost delta, and only stages
+// the claim re-adds. commit() applies the netted uses and staged claims;
+// rollback() drops them, restores the saved binding units, re-claims the
+// touch-time releases from them, and replays a small undo journal (the
+// per-segment write-key counts). The cost breakdown returns wholesale to
+// its propose()-entry value.
 //
 // Consistency is guarded two ways: in !NDEBUG builds every commit
 // cross-checks the incremental breakdown against a fresh evaluate_cost
@@ -60,7 +55,6 @@
 namespace salsa {
 
 class SearchEngine;
-struct MoveFootprint;  // core/footprint.h
 
 /// Mutation-testing hooks for the segment-windowed transaction path
 /// (salsa_audit --break-segment-window): when armed, the Nth windowed
@@ -89,18 +83,6 @@ inline long windowed_txns = 0;  ///< cumulative windowed (non-whole) re-adds
 ///                    to its pre-move state
 /// Observers may inspect the engine (it is passed const) but must not drive
 /// transactions on it from inside a callback.
-///
-/// The speculative proposal pipeline (core/speculate.h) adds two callbacks
-/// of its own. They are invoked by the pipeline, not by an engine:
-///   on_speculate — a speculation was scored on a worker engine; called
-///                  with that worker engine while its transaction is still
-///                  open (so the observer can compare the speculative
-///                  incremental cost against a from-scratch evaluation).
-///                  May be called from a pool thread, but never
-///                  concurrently — the pipeline serializes observer calls.
-///   on_discard   — a pending speculation was invalidated because a move
-///                  that committed before it wrote state in its footprint;
-///                  called with the main engine.
 class SearchObserver {
  public:
   virtual ~SearchObserver() = default;
@@ -108,8 +90,6 @@ class SearchObserver {
   virtual void on_txn_abort(const SearchEngine&) {}
   virtual void on_commit(const SearchEngine&, double /*delta*/) {}
   virtual void on_rollback(const SearchEngine&) {}
-  virtual void on_speculate(const SearchEngine&, double /*delta*/) {}
-  virtual void on_discard(const SearchEngine&) {}
 };
 
 class SearchEngine {
@@ -117,12 +97,6 @@ class SearchEngine {
   /// Builds the engine state from a legal, structurally complete binding
   /// (O(design), done once per search).
   explicit SearchEngine(const Binding& start);
-
-  /// Builds an engine over `start` sharing `other`'s immutable problem-side
-  /// static tables (per-op generator lists) instead of re-deriving them.
-  /// Both bindings must be of the same AllocProblem. This is how the
-  /// speculation pipeline stamps out worker engines cheaply.
-  SearchEngine(const Binding& start, const SearchEngine& other);
 
   const Binding& binding() const { return b_; }
   const AllocProblem& prob() const { return b_.prob(); }
@@ -137,15 +111,7 @@ class SearchEngine {
   /// applied tentatively and the exact cost delta is returned; the caller
   /// must then commit() or rollback(). Returns nullopt when no feasible
   /// instance was found (no transaction is left open).
-  ///
-  /// When `fp` is non-null the transaction's footprint is captured into it
-  /// (see core/footprint.h): the per-kind read mask, every connection-index
-  /// sink key retired or charged, the net-changed FU/register refcount
-  /// rows, and the write categories derived from the touched set. The
-  /// footprint is finalize()d before propose returns; rollback is not part
-  /// of the capture.
-  std::optional<double> propose(MoveKind kind, Rng& rng,
-                                MoveFootprint* fp = nullptr);
+  std::optional<double> propose(MoveKind kind, Rng& rng);
   /// Keeps the proposed move. In !NDEBUG builds cross-checks the
   /// incremental breakdown against a fresh evaluate_cost.
   void commit();
@@ -172,10 +138,8 @@ class SearchEngine {
   /// outside it is untouched by construction, so the windowed transaction
   /// produces cost integers identical to the whole-storage walk (the
   /// salsa_audit --segment differential proves it). Falls back to the
-  /// whole-storage touch during footprint capture (speculation needs
-  /// whole-unit sink sets for conflict invalidation) and when segment
-  /// windows are disabled. Repeated touches of one storage extend the
-  /// window to the convex hull.
+  /// whole-storage touch when segment windows are disabled. Repeated
+  /// touches of one storage extend the window to the convex hull.
   StorageBinding& touch_sto(int sid, int mlo, int mhi);
   /// Read-retarget touch: only read_cell will be mutated — no cell, reg or
   /// via changes. Saves read_cell, retires the read generator and leaves
@@ -224,8 +188,8 @@ class SearchEngine {
     return statics_->live_at[static_cast<size_t>(step)];
   }
 
-  // Incrementally maintained per-storage binding statistics (journaled like
-  // every other derived scalar, so they are transaction-consistent). Move
+  // Incrementally maintained per-storage binding statistics (refreshed at
+  // commit, so they always describe the committed binding). Move
   // proposers use them to skip storages that cannot contribute a candidate
   // — e.g. a storage with num_cells == len has no multi-cell segment — and
   // to map a uniform cell draw through prefix sums instead of materializing
@@ -374,24 +338,6 @@ class SearchEngine {
   void set_observer(SearchObserver* obs) { observer_ = obs; }
   SearchObserver* observer() const { return observer_; }
 
-  /// Binds a caller-owned register-mask scratch row (`n` words; nullptr
-  /// clears). Move proposers that accumulate a register mask use it instead
-  /// of thread-local heap scratch — the speculation pipeline binds one row
-  /// of a contiguous per-chunk arena per worker engine so batch scoring
-  /// stays on one cache-resident block (see ProposalPipeline::fill_batch).
-  /// The row is dead storage between proposals; contents never survive a
-  /// call, so binding or clearing it cannot change any result.
-  void bind_batch_scratch(uint64_t* words, int n) {
-    scratch_row_ = words;
-    scratch_row_words_ = n;
-  }
-  /// The bound scratch row if it holds at least `n` words, else nullptr
-  /// (callers fall back to their own scratch).
-  uint64_t* batch_scratch(int n) const {
-    return scratch_row_ != nullptr && n <= scratch_row_words_ ? scratch_row_
-                                                              : nullptr;
-  }
-
   /// Test-only fault injection: the next rollback() skips restoring the
   /// touched units' saved state — a deliberately broken undo. Exists so the
   /// auditor's digest check can be proven to catch silent state drift (the
@@ -412,10 +358,9 @@ class SearchEngine {
     std::vector<int> gens;
     bool has_const_ins = false;
   };
-  /// Immutable problem-side rows, derived once per problem and shared
-  /// between the main engine and its speculation workers (see the second
-  /// constructor): which generators each operation feeds, the generator id
-  /// layout, whether constant operands are charged, and the candidate
+  /// Immutable problem-side rows, derived once per engine: which
+  /// generators each operation feeds, the generator id layout, whether
+  /// constant operands are charged, and the candidate
   /// tables the move proposers scan every proposal (operation nodes, FUs
   /// by class, pass-capable FUs) — cached here so proposals stop paying an
   /// allocation per Cdfg::operations()/FuPool::of_class() call.
@@ -473,19 +418,11 @@ class SearchEngine {
   };
 
   /// One reversed scalar write: *p held `old` before the transaction's
-  /// mutation (occupancy slots and fu_refs_/reg_refs_ rows; the pointees
-  /// are stable for the life of a transaction).
+  /// mutation (the per-segment write-key counts; the pointees are stable
+  /// for the life of a transaction).
   struct IntUndo {
     int* p;
     int old;
-  };
-  /// One reversed bitplane word write: the occupancy busy-plane word at *p
-  /// held `old` before the transaction's claims touched it. Replayed in
-  /// reverse like IntUndo, so the first-journaled (pre-transaction) value
-  /// is restored last.
-  struct WordUndo {
-    uint64_t* p;
-    uint64_t old;
   };
   /// One netted connection-index delta awaiting commit: the packed
   /// (sink, source) pair key and its net use-count change this transaction.
@@ -524,8 +461,8 @@ class SearchEngine {
   /// its cache — the commit-side half of retire/re-add. Capacity-stable on
   /// both sides, so steady-state commits never allocate.
   void install_fresh_gen_caches();
-  /// Windowed write-generator refresh (sequential path): builds the
-  /// generator's replacement key list in the stash slot by splicing the
+  /// Windowed write-generator refresh: builds the generator's
+  /// replacement key list in the stash slot by splicing the
   /// cached pre-move list's unchanged prefix and suffix around a fresh
   /// enumeration of just the touched window — the per-segment key counts
   /// (write_seg_keys_) locate the window inside the flat cached list.
@@ -537,8 +474,8 @@ class SearchEngine {
   /// mutation hook).
   void add_write_gen_spliced(int sid, size_t stash_idx, int wlo, int whi,
                              int whi_add);
-  /// Windowed read-generator refresh (sequential path): a read generator
-  /// emits exactly one key per StorageRead, and read ri's key can change
+  /// Windowed read-generator refresh: a read generator emits exactly one
+  /// key per StorageRead, and read ri's key can change
   /// only if its segment lies inside the cell-mutation window, its
   /// read_cell retargeted, or its consumer op was touched this epoch.
   /// Every other entry is copied from the cached pre-move list verbatim;
@@ -554,12 +491,10 @@ class SearchEngine {
     return gen < statics_->const_gen_base && (gen & 1) == 0;
   }
   void remove_gen_once(int gen);
-  /// The packed-key halves of a use charge/retire: maintain the two index
-  /// tables and the connections/muxes counts for one charged pair key.
-  /// Non-transactional path only (rebuild); transactions go through the
-  /// pending-use netting instead.
+  /// Charges one pair key into the two index tables and the
+  /// connections/muxes counts. Non-transactional path only (rebuild);
+  /// transactions go through the pending-use netting instead.
   void add_key(uint64_t key);
-  void remove_key(uint64_t key);
   /// Applies the transaction's netted use deltas to the shared index
   /// tables (cost_ was already advanced read-only by finish_mutation).
   void apply_pending_uses();
@@ -567,62 +502,45 @@ class SearchEngine {
   void journal_int(int& slot) {
     if (in_txn_) undo_ints_.push_back({&slot, slot});
   }
-  /// Records a busy-plane word about to be overwritten. Journaled per word
-  /// (not per bit): a claim window or scattered cell steps may touch the
-  /// same word repeatedly, but reverse replay restores the first-journaled
-  /// pre-transaction value last, so duplicates are harmless.
-  void journal_word(uint64_t& w) {
-    if (in_txn_) undo_words_.push_back({&w, w});
-  }
-  /// Journals every word of plane row `r` covered by the linear bit range
-  /// [start, start + len) — the companion of a ranged claim/release.
-  void journal_range_words(BitPlane& plane, int r, int start, int len) {
-    uint64_t* row = plane.row(r);
-    for (int i = start >> 6; i <= (start + len - 1) >> 6; ++i)
-      journal_word(row[i]);
-  }
 
-  void add_op_claims(NodeId n);
+  /// Touch-time claim releases (occupancy slots and refcount rows), not
+  /// journaled: rollback restores the saved units and re-claims from them.
   void remove_op_claims(NodeId n);
-  /// Storage claim walks, restricted to segments [lo, hi] (a whole-storage
-  /// walk passes [0, len - 1]). A segment's claims are self-contained: the
-  /// cell's register at its own step plus, for a via, the pass-through FU
-  /// at the previous step — so a ranged walk releases/claims exactly the
-  /// window's slots.
-  void add_sto_claims(int sid, int lo, int hi);
+  /// Storage claim release, restricted to segments [lo, hi] (a
+  /// whole-storage walk passes [0, len - 1]). A segment's claims are
+  /// self-contained: the cell's register at its own step plus, for a via,
+  /// the pass-through FU at the previous step — so a ranged walk releases
+  /// exactly the window's slots.
   void remove_sto_claims(int sid, int lo, int hi);
-  /// Read-only twins of add_op_claims/add_sto_claims for the sequential
-  /// (no-footprint) path: they only accumulate which fu/reg refcount rows
-  /// are about to gain claims (fu_stage_/reg_stage_ scratch), writing
-  /// nothing — no occupancy slots, no plane words, no journal entries.
-  /// settle_staged_claims then advances cost_.fus_used/regs_used from the
-  /// scratch against the still-at-removal refcounts, and the actual table
-  /// writes wait until commit (apply_pending_claims). A rejected move
-  /// never re-adds its claims at all, and rollback's journal replay only
-  /// carries the touch-time removals.
+  /// Read-only claim re-adds: they only accumulate which fu/reg refcount
+  /// rows are about to gain claims (fu_stage_/reg_stage_ scratch), writing
+  /// nothing — no occupancy slots, no plane words. settle_staged_claims
+  /// then advances cost_.fus_used/regs_used from the scratch against the
+  /// still-at-removal refcounts, and the actual table writes wait until
+  /// commit (apply_pending_claims). A rejected move never re-adds its
+  /// claims at all.
   void stage_op_claims(NodeId n);
   /// Fuses Binding::normalize_storage with the storage claim staging into
-  /// a single walk over the storage's cells (sequential path only; the
-  /// footprint path normalises and re-adds separately). Ranged like the
-  /// claim walks above.
+  /// a single walk over the storage's cells. Ranged like
+  /// remove_sto_claims.
   void normalize_and_stage_sto(int sid, int lo, int hi);
   void settle_staged_claims();
   /// Claims every touched unit's occupancy from its *current* binding
-  /// state, without journaling or cost accounting. Serves two symmetric
-  /// callers: commit (binding holds the accepted mutation) and sequential
-  /// rollback (binding just restored to the saved units — re-claiming
-  /// them is the exact inverse of the unjournaled touch-time removals).
+  /// state, without cost accounting. Serves two symmetric callers: commit
+  /// (binding holds the accepted mutation) and rollback (binding just
+  /// restored to the saved units — re-claiming them is the exact inverse
+  /// of the unjournaled touch-time removals).
   void apply_claims_walk();
   /// Commit-side apply of the staged claims: replays the touched sets
   /// through the real claim writes (occupancy + refcounts), skipping the
-  /// journal (the transaction is ending) and the cost accounting
-  /// (settle_staged_claims already charged it). No-op unless
-  /// finish_mutation ran in staged mode (claims_pending_).
+  /// cost accounting (settle_staged_claims already charged it), then
+  /// refreshes the touched storages' statistics. No-op unless a finished
+  /// transaction is pending (claims_pending_).
   void apply_pending_claims();
   /// Recounts sto_cells_/sto_vias_/sto_xfers_ (and total_cells_) for one
-  /// storage from its current binding, journaling the overwritten values.
+  /// storage from its current binding. Runs outside transactions only.
   void refresh_sto_stats(int sid);
-  /// Windowed stats refresh (sequential commit only): folds the difference
+  /// Windowed stats refresh (at commit): folds the difference
   /// between the saved pre-move window (sto_save_) and the current binding
   /// window into the counters instead of recounting the whole storage.
   /// Out-of-window cells are byte-identical on both sides, so the diffed
@@ -664,7 +582,7 @@ class SearchEngine {
   std::vector<int> fu_refs_;
   std::vector<int> reg_refs_;
 
-  // Staged-claims scratch (sequential path only): per-fu/per-reg pending
+  // Staged-claims scratch: per-fu/per-reg pending
   // add-claim counts plus the dedup lists of rows touched this
   // transaction. Nonzero only between stage_*_claims and
   // settle_staged_claims inside one finish_mutation call.
@@ -689,8 +607,7 @@ class SearchEngine {
   std::vector<int> sto_fat_reads_;
   // Fenwick selection indexes over the five per-storage statistics (see
   // the public accessors): refresh_sto_stats feeds them the per-storage
-  // deltas, journaling every touched node so footprint-path transactions
-  // roll them back like any other derived scalar.
+  // deltas.
   Fenwick fw_cells_;
   Fenwick fw_vias_;
   Fenwick fw_xfers_;
@@ -708,7 +625,7 @@ class SearchEngine {
   // proposals only read it, so rejected moves never touch it.
   std::vector<std::vector<int>> fu_ops_;
 
-  std::shared_ptr<const EngineStatics> statics_;
+  std::unique_ptr<const EngineStatics> statics_;
 
   // Per-generator cache of the charged packed pair keys the generator's
   // enumeration last produced. The transaction protocol guarantees a
@@ -754,14 +671,13 @@ class SearchEngine {
   // Keys the write generator's cache holds per segment, flat-indexed by
   // sto_seg_off[sid] + seg (a hold emits 0, a via 2, a transfer or a
   // segment-0 latch 1). Locates a window inside the flat cached key list
-  // for the spliced refresh; journaled like every other derived scalar.
+  // for the spliced refresh; the one derived scalar the undo journal covers.
   std::vector<int> write_seg_keys_;
   // Segment-windowed transactions enabled (see set_segment_windows).
   bool seg_windows_ = true;
   std::vector<int> removed_gens_;
   // Undo journal (see the class comment): replayed in reverse by rollback.
   std::vector<IntUndo> undo_ints_;
-  std::vector<WordUndo> undo_words_;
   // Netted index deltas awaiting commit (see PendingUse): applied by
   // commit, discarded by rollback.
   std::vector<PendingUse> pending_uses_;
@@ -774,16 +690,12 @@ class SearchEngine {
   MoveKind pending_kind_{};
   double pending_delta_ = 0;
 
-  MoveFootprint* fp_ = nullptr;  ///< capture target during propose(), else null
-
   std::array<MoveKindStats, kNumMoveKinds> kind_stats_{};
   long steps_ = 0;
   std::ostream* trace_ = nullptr;
   const char* aux_name_ = nullptr;
   double aux_ = 0;
   SearchObserver* observer_ = nullptr;
-  uint64_t* scratch_row_ = nullptr;  ///< see bind_batch_scratch
-  int scratch_row_words_ = 0;
   bool break_next_undo_ = false;
 };
 

@@ -44,7 +44,7 @@ FuSearchResult schedule_min_fu(const Cdfg& g, const HwSpec& hw, int length,
   // The lattice walk prunes against a *running* best (both the cost gate
   // and the loop's upper bounds shrink as better envelopes are found), so
   // the visited set depends on probe outcomes. To parallelise without
-  // changing a single answer, probe speculatively: list-schedule every
+  // changing a single answer, probe ahead: list-schedule every
   // point the walk could possibly visit — the static rectangle up to the
   // force-directed envelope, gated by the force-directed cost — in
   // parallel, then replay the exact sequential walk against the

@@ -9,13 +9,10 @@
 // zero — same contract as the no-op fallback in Abseil's
 // thread_annotations.h, which this header follows.
 //
-// Usage map (the two annotated subsystems):
+// Usage map (the annotated subsystem):
 //   * util/thread_pool.cpp — the process-wide Pool: batches_/workers_/
 //     stop_ are SALSA_GUARDED_BY(mutex_); the *_locked helpers are
 //     SALSA_REQUIRES(mutex_).
-//   * core/speculate.h — the ProposalPipeline's worker pool:
-//     free_workers_ is SALSA_GUARDED_BY(workers_mu_); acquire/release
-//     take the lock themselves and are SALSA_EXCLUDES(workers_mu_).
 //
 // Adding a mutex-protected member anywhere else? Annotate it here-style or
 // the Clang leg of CI will not prove anything about it — the analysis is

@@ -1,6 +1,6 @@
 // FlatMap: the cache-friendly open-addressing table behind the search
-// engine's connection index (core/search_engine.h) and the move-footprint
-// row accumulators (core/footprint.h).
+// engine's connection index and its per-transaction netting scratch
+// (core/search_engine.h).
 //
 // It is deliberately NOT a general-purpose hash map. The two shapes it
 // serves — packed (sink, source) pair keys `uint64_t -> int` and packed
@@ -29,7 +29,7 @@
 // key-by-key equal counts, regardless of layout. Binding digests
 // (analysis/digest.h) never touch the index at all, which is why swapping
 // std::unordered_map for FlatMap left every trajectory byte-identical
-// (tests/test_speculation.cpp, tests/test_reproduction.cpp).
+// (tests/test_golden.cpp, tests/test_reproduction.cpp).
 #pragma once
 
 #include <cstddef>
@@ -153,7 +153,7 @@ class FlatMap {
 
   /// Adds a signed delta to `key`'s count: creates the entry when absent,
   /// erases it when the sum returns to zero. The general form behind
-  /// increment()/decrement(), and the accumulator the footprint netting
+  /// increment()/decrement(), and the accumulator the transaction netting
   /// uses (deltas there run negative transiently). Returns the new count.
   int add(Key key, int delta) {
     if (delta == 0) return value_or_zero(key);

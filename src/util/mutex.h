@@ -15,8 +15,8 @@
 //                contract at compile time)
 //
 // Every mutex-protected member in the repo is expected to be declared as a
-// salsa::Mutex + SALSA_GUARDED_BY pair; util/thread_pool.cpp and
-// core/speculate.h are the reference users.
+// salsa::Mutex + SALSA_GUARDED_BY pair; util/thread_pool.cpp is the
+// reference user.
 #pragma once
 
 #include <condition_variable>

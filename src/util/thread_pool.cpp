@@ -6,6 +6,7 @@
 #include <deque>
 #include <exception>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "util/annotations.h"
@@ -166,8 +167,15 @@ class Pool {
 
 int default_thread_count() {
   if (const char* env = std::getenv("SALSA_THREADS")) {
-    const int v = std::atoi(env);
-    if (v >= 1) return v;
+    // The whole string must be a decimal count: "4x", "", "-2" and "0" are
+    // rejected, not read as "use every core".
+    const std::string v(env);
+    char* end = nullptr;
+    const long n = std::strtol(v.c_str(), &end, 10);
+    if (v.empty() || v[0] < '0' || v[0] > '9' || *end != '\0' || n < 1 ||
+        n > 1024)
+      fail("SALSA_THREADS must be a thread count in 1..1024; got '" + v + "'");
+    return static_cast<int>(n);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw >= 1 ? static_cast<int>(hw) : 1;

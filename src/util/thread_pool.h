@@ -55,7 +55,8 @@ struct Parallelism {
   static Parallelism sequential_only() { return Parallelism{1}; }
 };
 
-/// SALSA_THREADS if set (clamped to >= 1), else hardware concurrency.
+/// SALSA_THREADS if set (a count in 1..1024; anything else fails), else
+/// hardware concurrency.
 int default_thread_count();
 
 /// Runs fn(0), ..., fn(n-1) with at most `par.resolve()` concurrent

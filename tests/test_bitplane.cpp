@@ -236,51 +236,7 @@ TEST(BitPlaneHooks, UnmarkedPlanesAreNeverSabotaged) {
   bitplane_hooks::break_word_update_after = 0;  // disarm for later tests
 }
 
-TEST(BitWords, GrowSetTestAndIntersect) {
-  BitWords a;
-  EXPECT_FALSE(a.any());
-  EXPECT_FALSE(a.test(500));
-  a.set(3);
-  a.set(200);  // grows to cover word 3
-  EXPECT_TRUE(a.test(3));
-  EXPECT_TRUE(a.test(200));
-  EXPECT_FALSE(a.test(199));
-  EXPECT_TRUE(a.any());
-  EXPECT_GE(a.words(), 4u);
-
-  // clear_all keeps capacity but empties the set.
-  const size_t cap = a.words();
-  a.clear_all();
-  EXPECT_FALSE(a.any());
-  EXPECT_EQ(a.words(), cap);
-
-  // Intersection over differing lengths (absent words are zero), matching
-  // the sorted-vector intersect it replaced.
-  Rng rng(31);
-  for (int iter = 0; iter < 200; ++iter) {
-    BitWords x, y;
-    std::vector<int> xs, ys;
-    for (int i = rng.uniform(6); i-- > 0;) {
-      const int bit = rng.uniform(400);
-      x.set(bit);
-      xs.push_back(bit);
-    }
-    for (int i = rng.uniform(6); i-- > 0;) {
-      const int bit = rng.uniform(400);
-      y.set(bit);
-      ys.push_back(bit);
-    }
-    std::sort(xs.begin(), xs.end());
-    std::sort(ys.begin(), ys.end());
-    std::vector<int> common;
-    std::set_intersection(xs.begin(), xs.end(), ys.begin(), ys.end(),
-                          std::back_inserter(common));
-    EXPECT_EQ(bitwords_intersect(x, y), !common.empty());
-    EXPECT_EQ(bitwords_intersect(y, x), !common.empty());
-  }
-}
-
-// The batch-scoring kernels (words_or_accumulate + popcount_words) against
+// The register-mask kernels (words_or_accumulate + popcount_words) against
 // their naive per-bit references, across word counts straddling the unroll
 // widths (the AVX2 leg runs four words per vector op, popcount_words four
 // accumulators per round) so every remainder-tail length is exercised.

@@ -93,7 +93,7 @@ TEST(FlatMap, RefcountLifecycle) {
   EXPECT_EQ(map.decrement(7), 0);
   EXPECT_EQ(map.find(7), nullptr);
   EXPECT_TRUE(map.empty());
-  // Negative transients (the footprint netting shape) are legal via add().
+  // Negative transients (the transaction netting shape) are legal via add().
   EXPECT_EQ(map.add(9, -1), -1);
   EXPECT_EQ(map.add(9, +1), 0);
   EXPECT_TRUE(map.empty());

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bench_suite/ewf.h"
@@ -86,6 +88,26 @@ TEST(ThreadPool, ParallelismResolvesToAtLeastOne) {
   EXPECT_EQ(Parallelism{3}.resolve(), 3);
   EXPECT_TRUE(Parallelism::sequential_only().sequential());
   EXPECT_GE(default_thread_count(), 1);
+}
+
+TEST(ThreadPool, SalsaThreadsIsValidated) {
+  // Resolves thread counts only — no pool is started.
+  const char* prev = std::getenv("SALSA_THREADS");
+  const std::string saved = prev != nullptr ? prev : "";
+  for (const char* bad : {"abc", "4x", "0", "-2", "", " 3", "1025"}) {
+    ::setenv("SALSA_THREADS", bad, 1);
+    EXPECT_THROW(default_thread_count(), Error) << "'" << bad << "'";
+    EXPECT_THROW(Parallelism{}.resolve(), Error) << "'" << bad << "'";
+    EXPECT_EQ(Parallelism{2}.resolve(), 2);  // explicit counts never read it
+  }
+  ::setenv("SALSA_THREADS", "3", 1);
+  EXPECT_EQ(default_thread_count(), 3);
+  EXPECT_EQ(Parallelism{}.resolve(), 3);
+  if (prev != nullptr) {
+    ::setenv("SALSA_THREADS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("SALSA_THREADS");
+  }
 }
 
 // ---------------------------------------------------------- seed streams ----

@@ -5,7 +5,7 @@
 // it replaces. These tests drive the window-vs-whole differential
 // (run_segment_diff) on every standard target plus a generated cascade,
 // prove the seeded window-shrink mutation is caught, and pin byte-identical
-// pipeline trajectories across (threads x k) with windows on vs off.
+// proposer trajectories with windows on vs off.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,8 +16,8 @@
 #include "analysis/fuzz.h"
 #include "core/initial.h"
 #include "core/moves.h"
+#include "core/proposer.h"
 #include "core/search_engine.h"
-#include "core/speculate.h"
 #include "frontend/generate.h"
 
 namespace salsa {
@@ -103,53 +103,46 @@ TEST(SegmentMutation, SeededWindowShrinkIsCaught) {
   EXPECT_GE(res.divergence, 0);
 }
 
-// --- pipeline trajectories: windows on vs off, across (threads x k) ---------
+// --- proposer trajectories: windows on vs off -------------------------------
 
-TEST(SegmentTrajectory, WindowedPipelinesAreByteIdenticalToWholeStorage) {
-  // Two pipelines from the same start binding and seed — one engine
+TEST(SegmentTrajectory, WindowedProposerIsByteIdenticalToWholeStorage) {
+  // Two proposers from the same start binding and seed — one engine
   // windowed (the default), one forced to whole-storage walks — must serve
   // identical candidate streams (feasibility, kind, bit-identical delta)
-  // and walk digest-identical bindings, for every (threads, k) pairing.
+  // and walk digest-identical bindings.
   FuzzTarget target("ewf");
   const Binding start =
       initial_allocation(target.prob(), InitialOptions{.seed = 11});
   const MoveConfig moves = MoveConfig::salsa_default();
-  const std::vector<std::pair<int, int>> grid{{1, 1}, {1, 4}, {2, 8}};
-  for (const auto& [threads, k] : grid) {
-    SCOPED_TRACE("threads=" + std::to_string(threads) +
-                 " k=" + std::to_string(k));
-    SearchEngine win(start);
-    SearchEngine whole(start);
-    whole.set_segment_windows(false);
-    SpeculationConfig sc{k, Parallelism{threads}};
-    sc.pin_width = true;  // exercise the speculative path on any host
-    ProposalPipeline pw(win, moves, sc, 99);
-    ProposalPipeline pf(whole, moves, sc, 99);
-    long commits = 0;
-    for (long step = 0; step < 600; ++step) {
-      const ProposalPipeline::Candidate cw = pw.next();
-      const ProposalPipeline::Candidate cf = pf.next();
-      ASSERT_EQ(cw.feasible, cf.feasible) << "step " << step;
-      ASSERT_EQ(cw.kind, cf.kind) << "step " << step;
-      if (!cw.feasible) continue;
-      ASSERT_EQ(cw.delta, cf.delta) << "step " << step;  // bit-identical
-      // Acceptance is a function of the candidate alone, so both runs make
-      // the same decision: keep downhill, plus a deterministic uphill slice.
-      const bool accept = cw.delta <= 0 || step % 5 == 0;
-      pw.decide(accept);
-      pf.decide(accept);
-      if (!accept) continue;
-      ++commits;
-      ASSERT_EQ(digest_binding(win.binding()), digest_binding(whole.binding()))
-          << "bindings diverged after commit at step " << step;
-    }
-    EXPECT_GT(commits, 0);
-    EXPECT_EQ(win.cost().total, whole.cost().total);
-    EXPECT_EQ(win.cost().connections, whole.cost().connections);
-    EXPECT_EQ(win.cost().muxes, whole.cost().muxes);
-    std::string why;
-    EXPECT_TRUE(win.index_matches_rebuild(&why)) << why;
+  SearchEngine win(start);
+  SearchEngine whole(start);
+  whole.set_segment_windows(false);
+  MoveProposer pw(win, moves, 99);
+  MoveProposer pf(whole, moves, 99);
+  long commits = 0;
+  for (long step = 0; step < 600; ++step) {
+    const MoveProposer::Candidate cw = pw.next();
+    const MoveProposer::Candidate cf = pf.next();
+    ASSERT_EQ(cw.feasible, cf.feasible) << "step " << step;
+    ASSERT_EQ(cw.kind, cf.kind) << "step " << step;
+    if (!cw.feasible) continue;
+    ASSERT_EQ(cw.delta, cf.delta) << "step " << step;  // bit-identical
+    // Acceptance is a function of the candidate alone, so both runs make
+    // the same decision: keep downhill, plus a deterministic uphill slice.
+    const bool accept = cw.delta <= 0 || step % 5 == 0;
+    pw.decide(accept);
+    pf.decide(accept);
+    if (!accept) continue;
+    ++commits;
+    ASSERT_EQ(digest_binding(win.binding()), digest_binding(whole.binding()))
+        << "bindings diverged after commit at step " << step;
   }
+  EXPECT_GT(commits, 0);
+  EXPECT_EQ(win.cost().total, whole.cost().total);
+  EXPECT_EQ(win.cost().connections, whole.cost().connections);
+  EXPECT_EQ(win.cost().muxes, whole.cost().muxes);
+  std::string why;
+  EXPECT_TRUE(win.index_matches_rebuild(&why)) << why;
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // salsa_audit — the SalsaCheck command line: drives the move fuzzer, the
-// determinism/speculation audits and the index/bitplane/scaling
+// determinism audit and the index/bitplane/segment/scaling/sim
 // cross-checks over the standard targets, printing one summary line per
 // audit and exiting non-zero on any violation. Run with --help for the
 // full flag catalogue (kUsage below is the single source of truth; an
@@ -55,10 +55,6 @@ audit modes
                      per-restart digest streams (default threads 1,2,8)
   --restarts R       restarts for the determinism audit (default: 6)
   --threads a,b,c    comma-separated thread counts for the determinism audit
-  --speculation      fuzz the speculative proposal pipeline: seeded k-way
-                     batches diffed against a sequential reference run
-  --spec-k K         speculative batch width (default: 8)
-  --spec-steps N     candidates served per speculation fuzz run (default: 4000)
   --index            cross-check the flat connection index against a
                      from-scratch rebuild after every commit
   --index-commits N  commits per index audit run (default: 2000)
@@ -79,12 +75,11 @@ audit modes
   --sim-ops N        cascade operation count for --sim (default: 2000)
   --sim-wall         exclusive mode: time both engines on ewf and a large
                      generated cascade, verify they agree, and print the
-                     sim wall JSON rows (input to scripts/check_sim_gate.py)
+                     sim wall JSON rows (input to check_bench_gate.py sim)
   --sim-wall-ops N   cascade operation count for --sim-wall (default: 10000)
 
 mutation tests (expected output: a VIOLATION; CI asserts non-zero exit)
   --inject-broken-undo N   break the Nth rollback's undo
-  --spec-skip N            let the Nth footprint-conflict hit slip through
   --break-flat-erase N     Nth FlatMap erase skips backward-shift compaction
   --break-bitplane-word N  Nth ranged busy-plane word update left broken
   --break-segment-window N Nth windowed claim re-add drops its last segment
@@ -242,10 +237,10 @@ SimAuditResult run_sim_audit(const AllocProblem& prob, uint64_t seed) {
 
 // --sim-wall: wall-clock rows for the sim gate. Absolute timings are
 // meaningless on shared runners (same argument as the scaling gate), so
-// scripts/check_sim_gate.py judges the ratio of event-engine ns-per-firing
-// on a large cascade to ns-per-firing on EWF, measured in the same run: a
-// per-step rescan creeping back into the event engine makes the big
-// design's per-firing cost blow up while EWF's barely moves.
+// scripts/check_bench_gate.py (gate "sim") judges the ratio of event-engine
+// ns-per-firing on a large cascade to ns-per-firing on EWF, measured in the
+// same run: a per-step rescan creeping back into the event engine makes the
+// big design's per-firing cost blow up while EWF's barely moves.
 int run_sim_wall(int ops, uint64_t seed) {
   struct Case {
     const char* family;
@@ -325,8 +320,7 @@ int run_sim_wall(int ops, uint64_t seed) {
 int main(int argc, char** argv) {
   std::string target = "all";
   FuzzParams fuzz;
-  SpecFuzzParams spec;
-  bool determinism = false, speculation = false, dump = false;
+  bool determinism = false, dump = false;
   bool index_audit = false;
   long index_commits = 2000;
   long break_flat_erase = 0;
@@ -375,16 +369,6 @@ int main(int argc, char** argv) {
       // Mutation testing: break the Nth rollback's undo and watch the
       // digest check catch it (expected output: a VIOLATION).
       fuzz.inject_broken_undo_at = std::atol(next().c_str());
-    } else if (arg == "--speculation") {
-      speculation = true;
-    } else if (arg == "--spec-k") {
-      spec.k = std::atoi(next().c_str());
-    } else if (arg == "--spec-steps") {
-      spec.steps = std::atol(next().c_str());
-    } else if (arg == "--spec-skip") {
-      // Mutation testing: skip the Nth footprint invalidation and watch the
-      // replay cross-check / trajectory diff catch it.
-      spec.skip_footprint_check_at = std::atol(next().c_str());
     } else if (arg == "--index") {
       index_audit = true;
     } else if (arg == "--index-commits") {
@@ -478,28 +462,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "  %s\n", res.failure.c_str());
       if (!res.artifact_path.empty())
         std::fprintf(stderr, "  artifact: %s\n", res.artifact_path.c_str());
-    }
-
-    if (speculation) {
-      SpecFuzzParams sp = spec;
-      sp.seed = fuzz.seed;
-      sp.audit = fuzz.audit;
-      sp.artifact_dir = fuzz.artifact_dir;
-      sp.name = name + "-spec";
-      const SpecFuzzResult sres = run_speculation_fuzz(t.prob(), sp);
-      std::printf(
-          "spec %-6s seed %llu k=%d: %ld commits, %ld batches (%ld served / "
-          "%ld discarded / %ld rescored) — %s\n",
-          name.c_str(), static_cast<unsigned long long>(sp.seed), sp.k,
-          sres.commits, sres.spec.batches, sres.spec.served,
-          sres.spec.discarded, sres.spec.rescored,
-          sres.ok ? "ok" : "VIOLATION");
-      if (!sres.ok) {
-        failed = true;
-        std::fprintf(stderr, "  %s\n", sres.failure.c_str());
-        if (!sres.artifact_path.empty())
-          std::fprintf(stderr, "  artifact: %s\n", sres.artifact_path.c_str());
-      }
     }
 
     if (index_audit) {
