@@ -188,7 +188,6 @@ void SearchEngine::rebuild() {
   reg_stage_.assign(reg_refs_.size(), 0);
   fu_staged_.clear();
   reg_staged_.clear();
-  claims_pending_ = false;
   cost_ = CostBreakdown{};
 
   const Cdfg& g = prob.cdfg();
@@ -709,8 +708,6 @@ void SearchEngine::apply_claims_walk() {
 }
 
 void SearchEngine::apply_pending_claims() {
-  if (!claims_pending_) return;
-  claims_pending_ = false;
   apply_claims_walk();
   for (const int sid : touched_sids_) {
     const int wlo = sto_wlo_[static_cast<size_t>(sid)];
@@ -1003,7 +1000,6 @@ void SearchEngine::finish_mutation() {
   // sto_xfers_/total_cells_) only feed candidate enumeration in *later*
   // proposals, never the pending delta, so their recount rides along to
   // commit too.
-  claims_pending_ = true;
   for (const TouchedOp& t : touched_ops_) stage_op_claims(t.n);
   for (int sid : touched_sids_) {
     const int wlo = sto_wlo_[static_cast<size_t>(sid)];
@@ -1239,10 +1235,7 @@ void SearchEngine::rollback() {
   // The touch-time removals are undone by re-claiming straight from the
   // units just restored — identical writes to what the removals released,
   // and the per-claim ++ brings every refcount row back exactly.
-  if (claims_pending_) {
-    claims_pending_ = false;
-    apply_claims_walk();
-  }
+  apply_claims_walk();
   cost_ = cost_before_;
   end_txn();
   if (observer_) observer_->on_rollback(*this);
@@ -1254,7 +1247,6 @@ void SearchEngine::end_txn() {
   removed_gens_.clear();
   undo_ints_.clear();
   pending_uses_.clear();
-  claims_pending_ = false;
   in_txn_ = false;
 }
 

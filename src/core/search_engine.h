@@ -534,8 +534,7 @@ class SearchEngine {
   /// Commit-side apply of the staged claims: replays the touched sets
   /// through the real claim writes (occupancy + refcounts), skipping the
   /// cost accounting (settle_staged_claims already charged it), then
-  /// refreshes the touched storages' statistics. No-op unless a finished
-  /// transaction is pending (claims_pending_).
+  /// refreshes the touched storages' statistics.
   void apply_pending_claims();
   /// Recounts sto_cells_/sto_vias_/sto_xfers_ (and total_cells_) for one
   /// storage from its current binding. Runs outside transactions only.
@@ -590,10 +589,6 @@ class SearchEngine {
   std::vector<int> reg_stage_;
   std::vector<int> fu_staged_;
   std::vector<int> reg_staged_;
-  // True while a finished transaction's claim re-adds are staged but not
-  // yet written: commit (or the broken-undo test path) must call
-  // apply_pending_claims before end_txn; rollback just drops the flag.
-  bool claims_pending_ = false;
 
   // Per-storage candidate statistics (see the accessors above).
   std::vector<int> sto_cells_;
