@@ -29,6 +29,7 @@
 #include "sched/asap_alap.h"
 #include "sched/fu_search.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 using namespace salsa;
 
@@ -46,43 +47,43 @@ int main(int argc, char** argv) {
   std::string verilog_path;
   std::string html_path;
   std::string vcd_path, tb_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_int = [&](int& out) {
-      if (i + 1 >= argc) fail("missing argument after " + arg);
-      out = std::atoi(argv[++i]);
-    };
-    if (arg == "--steps") {
-      next_int(steps);
-    } else if (arg == "--pipelined") {
-      pipelined = true;
-    } else if (arg == "--extra-regs") {
-      next_int(extra_regs);
-    } else if (arg == "--traditional") {
-      traditional = true;
-    } else if (arg == "--verilog") {
-      if (i + 1 >= argc) fail("missing path after --verilog");
-      verilog_path = argv[++i];
-    } else if (arg == "--html") {
-      if (i + 1 >= argc) fail("missing path after --html");
-      html_path = argv[++i];
-    } else if (arg == "--vcd") {
-      if (i + 1 >= argc) fail("missing path after --vcd");
-      vcd_path = argv[++i];
-    } else if (arg == "--testbench") {
-      if (i + 1 >= argc) fail("missing path after --testbench");
-      tb_path = argv[++i];
-    } else if (arg == "--report") {
-      want_report = true;
-    } else if (arg == "--buses") {
-      want_buses = true;
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-      return 2;
-    }
-  }
-
   try {
+    for (int i = 2; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next_int = [&](int& out) {
+        if (i + 1 >= argc) fail("missing argument after " + arg);
+        out = static_cast<int>(parse_int(argv[++i], 0, 100000, arg));
+      };
+      if (arg == "--steps") {
+        next_int(steps);
+      } else if (arg == "--pipelined") {
+        pipelined = true;
+      } else if (arg == "--extra-regs") {
+        next_int(extra_regs);
+      } else if (arg == "--traditional") {
+        traditional = true;
+      } else if (arg == "--verilog") {
+        if (i + 1 >= argc) fail("missing path after --verilog");
+        verilog_path = argv[++i];
+      } else if (arg == "--html") {
+        if (i + 1 >= argc) fail("missing path after --html");
+        html_path = argv[++i];
+      } else if (arg == "--vcd") {
+        if (i + 1 >= argc) fail("missing path after --vcd");
+        vcd_path = argv[++i];
+      } else if (arg == "--testbench") {
+        if (i + 1 >= argc) fail("missing path after --testbench");
+        tb_path = argv[++i];
+      } else if (arg == "--report") {
+        want_report = true;
+      } else if (arg == "--buses") {
+        want_buses = true;
+      } else {
+        std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
+        return 2;
+      }
+    }
+
     std::ifstream in(argv[1]);
     if (!in) fail(std::string("cannot open ") + argv[1]);
     const std::string path = argv[1];

@@ -14,7 +14,7 @@ Gates (one row of GATES each):
            (bench_runtime with SALSA_SCALING_JSON; wall BENCH_scaling.json).
            An O(n) scan creeping back into a move proposer blows the ratio
            up by orders of magnitude.
-  sim      event-engine ns_per_firing, 10k-op cascade vs EWF
+  sim      compiled-engine ns_per_firing, 10k-op cascade vs EWF
            (salsa_audit --sim-wall; wall BENCH_sim.json). A per-step
            rescan over FU actions or register loads does the same.
 
@@ -46,7 +46,7 @@ GATES = {
                     "a super-linear cost crept back into the move loop"),
     "sim": Gate("BENCH_sim.json", "ns_per_firing", "firing",
                 ("cascade", 5000), ("ewf", 0), 2.0,
-                "a per-step rescan crept back into the event engine"),
+                "a per-step rescan crept back into the compiled engine"),
 }
 
 

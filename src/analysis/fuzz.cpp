@@ -128,8 +128,9 @@ SegmentDiffResult run_segment_diff(const AllocProblem& prob,
   SearchEngine win(start);
   SearchEngine whole(start);
   whole.set_segment_windows(false);  // reference: whole-storage walks
+  if (params.break_segment_window_at > 0)
+    win.break_claim_window_after(params.break_segment_window_at);
   Rng rng(derive_seed(params.seed, 1));
-  const long windowed_before = seg_window_hooks::windowed_txns;
   const long cap = params.transactions * params.proposal_cap_factor;
   long proposals = 0;
   auto diverged = [&res](const std::string& what) {
@@ -150,7 +151,7 @@ SegmentDiffResult run_segment_diff(const AllocProblem& prob,
       // windowed engine's copy. Any enumeration drift between the engines
       // shows up as a delta/digest divergence below, never as silent
       // stream skew.
-      const bool armed = seg_window_hooks::break_claim_window_after > 0;
+      const bool armed = win.claim_window_break_armed();
       Rng rw = rng;
       Rng rf = rng;
       const auto dw = win.propose(kind, rw);
@@ -161,8 +162,8 @@ SegmentDiffResult run_segment_diff(const AllocProblem& prob,
       // must materialize in the cross-checked state (a rollback would
       // restore both the binding and the spliced key cache, proving
       // nothing).
-      const bool fired =
-          armed && seg_window_hooks::break_claim_window_after == 0;
+      const bool fired = armed && !win.claim_window_break_armed();
+      res.window_break_fired |= fired;
       if (dw.has_value() != df.has_value()) {
         ++res.transactions;
         diverged(std::string("feasibility diverged (windowed: ") +
@@ -213,7 +214,7 @@ SegmentDiffResult run_segment_diff(const AllocProblem& prob,
     if (res.divergence < 0) res.divergence = res.transactions;
     res.failure = std::string("engine check failed: ") + e.what();
   }
-  res.windowed = seg_window_hooks::windowed_txns - windowed_before;
+  res.windowed = win.windowed_txns();
   if (res.ok && res.transactions < params.transactions) {
     std::ostringstream os;
     os << "differential starved: only " << res.transactions << " of "

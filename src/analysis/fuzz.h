@@ -50,6 +50,10 @@ struct FuzzParams {
   /// digest check must catch it — the regression proving the audit wall
   /// actually detects silent state drift (see DESIGN.md).
   long inject_broken_undo_at = 0;
+  /// Mutation testing (0 = off), run_segment_diff only: the windowed
+  /// engine's Nth windowed claim re-add drops its last segment
+  /// (SearchEngine::break_claim_window_after).
+  long break_segment_window_at = 0;
 };
 
 struct FuzzResult {
@@ -74,6 +78,7 @@ struct SegmentDiffResult {
   long transactions = 0;  ///< feasible transactions compared
   long commits = 0;       ///< transactions that committed on both engines
   long windowed = 0;      ///< transactions that took a non-whole window
+  bool window_break_fired = false;  ///< break_segment_window_at fired
   /// Index (0-based transaction count) of the first divergence; -1 = none.
   long divergence = -1;
 };

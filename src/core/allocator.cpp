@@ -10,6 +10,7 @@
 #include "analysis/digest.h"
 #include "core/verify.h"
 #include "util/rng.h"
+#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace salsa {
@@ -33,14 +34,9 @@ int default_restart_patience() {
   static const int patience = [] {
     const char* env = std::getenv("SALSA_RESTART_PATIENCE");
     if (env == nullptr) return 0;
-    const std::string v(env);
-    if (v == "0" || v == "off") return 0;
-    char* end = nullptr;
-    const long n = std::strtol(v.c_str(), &end, 10);
-    if (end != v.c_str() && *end == '\0' && n >= 1 && n <= 1000000)
-      return static_cast<int>(n);
-    fail("SALSA_RESTART_PATIENCE must be 0/off or a positive restart count; "
-         "got '" + v + "'");
+    if (std::string(env) == "off") return 0;
+    return static_cast<int>(
+        parse_int(env, 0, 1000000, "SALSA_RESTART_PATIENCE"));
   }();
   return patience;
 }

@@ -1011,11 +1011,9 @@ void SearchEngine::finish_mutation() {
       // drops its last segment on the add side only. The removals kept
       // the full window, so the occupancy grid, refcounts and key cache
       // drift from the binding — the audit wall must catch it.
-      ++seg_window_hooks::windowed_txns;
-      if (seg_window_hooks::break_claim_window_after > 0 &&
-          seg_window_hooks::windowed_txns >=
-              seg_window_hooks::break_claim_window_after) {
-        seg_window_hooks::break_claim_window_after = 0;  // one-shot
+      ++windowed_txns_;
+      if (break_window_at_ > 0 && windowed_txns_ >= break_window_at_) {
+        break_window_at_ = 0;  // one-shot
         sto_whi_add_[static_cast<size_t>(sid)] = whi - 1;
       }
     }

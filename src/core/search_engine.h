@@ -56,19 +56,6 @@ namespace salsa {
 
 class SearchEngine;
 
-/// Mutation-testing hooks for the segment-windowed transaction path
-/// (salsa_audit --break-segment-window): when armed, the Nth windowed
-/// claim re-add deliberately narrows its window by one segment on the
-/// add side only — touch-time removals keep the full window — so the
-/// occupancy grid, refcounts and connection index drift from the binding
-/// and the audit wall must catch it. Process-wide cumulative counters,
-/// armed relative to the current count (break_after = windowed_txns + N),
-/// one-shot. No effect unless a test arms them.
-namespace seg_window_hooks {
-inline long break_claim_window_after = 0;  ///< 0 = disarmed
-inline long windowed_txns = 0;  ///< cumulative windowed (non-whole) re-adds
-}  // namespace seg_window_hooks
-
 /// Transaction observer: the seam the SalsaCheck invariant auditor
 /// (src/analysis/auditor.h) hooks into. The engine invokes the callbacks
 /// around every move transaction; with no observer installed the cost is a
@@ -152,6 +139,8 @@ class SearchEngine {
   /// side of the salsa_audit --segment window-vs-whole differential.
   void set_segment_windows(bool on) { seg_windows_ = on; }
   bool segment_windows() const { return seg_windows_; }
+  /// Windowed (non-whole) claim re-adds this engine has staged.
+  long windowed_txns() const { return windowed_txns_; }
 
   // Cached problem-side candidate tables for move proposers (equal to
   // cdfg().operations(), fus().of_class(c) and fus().pass_capable(), but
@@ -344,6 +333,17 @@ class SearchEngine {
   /// mutation test in tests/test_fuzz_moves.cpp, documented in DESIGN.md);
   /// never set outside tests.
   void inject_broken_undo_for_test() { break_next_undo_ = true; }
+
+  /// Test-only fault injection (salsa_audit --break-segment-window): the
+  /// Nth windowed claim re-add from now narrows its window by one segment
+  /// on the add side only — touch-time removals keep the full window — so
+  /// the occupancy grid, refcounts and connection index drift from the
+  /// binding and the audit wall must catch it. One-shot;
+  /// claim_window_break_armed() stays true until it fires.
+  void break_claim_window_after(long n) {
+    break_window_at_ = windowed_txns_ + n;
+  }
+  bool claim_window_break_armed() const { return break_window_at_ > 0; }
 
  private:
   struct TouchedOp {
@@ -692,6 +692,8 @@ class SearchEngine {
   double aux_ = 0;
   SearchObserver* observer_ = nullptr;
   bool break_next_undo_ = false;
+  long windowed_txns_ = 0;
+  long break_window_at_ = 0;  ///< 0 = disarmed
 };
 
 }  // namespace salsa

@@ -25,7 +25,7 @@ struct ControllerStats {
   /// Steps whose control word is all-idle: no FU starts an operation and no
   /// register loads. The datapath coasts (registers hold, pass-through
   /// routing may still be configured) — the controller's stall states. The
-  /// event-driven simulator schedules nothing for these steps; the
+  /// compiled simulator lowers empty lists for these steps; the
   /// simulator edge-case tests pin that both engines coast identically.
   int idle_steps = 0;
 };

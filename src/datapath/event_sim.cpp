@@ -1,7 +1,8 @@
 #include "datapath/event_sim.h"
 
-#include <queue>
+#include <algorithm>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "cdfg/eval.h"
@@ -11,457 +12,237 @@ namespace salsa {
 
 namespace {
 
-// The reference engine's four phases per global step, refined into eight
-// totally ordered sub-phases so in-place state updates reproduce its
-// copy-snapshot semantics exactly:
-//   * everything "during" a step (FU operand reads, output samples,
-//     pass-through evaluation, register-load source reads of registers)
-//     observes the state as of the end of the previous step;
-//   * register-load source reads of FU outputs additionally observe the
-//     results landing at THIS step's edge (the reference's `pre` machine);
-//   * all writes commit at the edge, invisible to this step's reads.
-// Evaluation sub-phases compute against the live arrays (safe because every
-// write sits at a later sub-phase of the same step) and push their write as
-// a dynamic apply event, so two register transfers at one step never see
-// each other's new value — the reference's `pre` copy, without the copy.
-enum Phase : int {
-  kPhInput = 0,      // iteration boundary: input-port values advance
-  kPhCompute = 1,    // FU operation starts (operand reads + compute)
-  kPhSample = 2,     // output ports sample registers (pre-edge)
-  kPhPassEval = 3,   // pass-throughs read pin 0 (pre-edge, pre-landing)
-  kPhPassApply = 4,  // pass values land at the FU outputs
-  kPhLand = 5,       // multi-cycle results land at the FU outputs
-  kPhLoadEval = 6,   // register loads read sources (post-landing FU outs)
-  kPhLoadApply = 7,  // registers latch; the step's edge completes
+// A lowered endpoint: where a read finds its value in the live state.
+struct Src {
+  Endpoint::Kind kind = Endpoint::Kind::kConstPort;
+  int64_t id = 0;  // register / FU / input-port index, or the constant itself
 };
 
-enum class SlotKind : uint8_t { kFuStart, kPass, kRegLoad, kOutSample, kInput };
-
-struct Slot {
-  SlotKind kind;
-  uint8_t phase;
-  int step;  // control step in [0, L) this slot fires at, every iteration
-  int a;     // FuId / RegId / output index / port index, per kind
-  OpKind op = OpKind::kNop;
-  int delay = 0;
-  bool binary = false;
-  Endpoint src0{Endpoint::Kind::kConstPort, 0};
-  Endpoint src1{Endpoint::Kind::kConstPort, 0};
+// An FU operation start. Its result goes to inflight_[start index] and is
+// copied to the FU output by the landing list of step + delay - 1.
+struct Start {
+  FuId fu;
+  OpKind op;
+  bool binary;
+  Src in0, in1;
 };
 
-// Event types share one queue; the type tag orders ties deterministically
-// (static fires before applies before landings never collide across types at
-// equal keys in practice, but the order must not depend on heap internals).
-enum EvType : int32_t { kEvFire = 0, kEvApply = 1, kEvLand = 2 };
-
-struct Ev {
-  int64_t key;  // gstep * 8 + phase
-  int32_t type;
-  int32_t slot;
-  int64_t payload;
+// One control step, lowered to straight-line lists in the reference
+// engine's sub-phase order:
+//   * starts read operands against the state as of the previous step's edge;
+//   * samples read registers before this step's edge;
+//   * passes read pin 0 before this step's landings, then land;
+//   * multi-cycle results land at the FU outputs;
+//   * loads read registers pre-edge and FU outputs post-landing, then latch.
+// Passes and loads evaluate into one scratch buffer before they apply, so
+// two transfers at one step never see each other's new value — the
+// reference's `pre` snapshot, without the copy.
+struct StepPlan {
+  std::vector<int> starts, lands;                   // indices into starts_
+  std::vector<std::pair<int, RegId>> samples;       // (output index, reg)
+  std::vector<std::pair<FuId, Src>> passes;
+  std::vector<std::pair<RegId, Src>> loads;
 };
 
-struct EvAfter {
-  bool operator()(const Ev& x, const Ev& y) const {
-    if (x.key != y.key) return x.key > y.key;
-    if (x.type != y.type) return x.type > y.type;
-    if (x.slot != y.slot) return x.slot > y.slot;
-    return x.payload > y.payload;
-  }
-};
-
-class EventSim {
+class CompiledSim {
  public:
-  EventSim(const Netlist& nl, std::span<const std::vector<int64_t>> inputs,
-           std::span<const int64_t> initial_states, int iterations)
+  CompiledSim(const Netlist& nl, std::span<const std::vector<int64_t>> inputs,
+              std::span<const int64_t> initial_states, int iterations)
       : nl_(nl),
         inputs_(inputs),
-        prob_(nl.binding().prob()),
-        g_(prob_.cdfg()),
-        L_(prob_.sched().length()),
-        iterations_(iterations),
-        total_(static_cast<int64_t>(iterations) * L_) {
+        g_(nl.binding().prob().cdfg()),
+        iterations_(iterations) {
     SALSA_CHECK_MSG(static_cast<int>(inputs.size()) >= iterations,
                     "simulate_events: not enough input vectors");
-    build_slots();
+    compile();
     regs_ = initial_register_image(nl, inputs, initial_states);
-    fu_out_.assign(static_cast<size_t>(prob_.fus().size()), 0);
-    fu_has_.assign(static_cast<size_t>(prob_.fus().size()), 0);
-    port_val_.assign(input_nodes_.size(), 0);
-    port_ok_.assign(input_nodes_.size(), 0);
+    const size_t nfu = static_cast<size_t>(nl.binding().prob().fus().size());
+    fu_out_.assign(nfu, 0);
+    fu_has_.assign(nfu, 0);
   }
 
   SimResult run(SimTrace* trace, EventSimStats* stats) {
-    result_.outputs.assign(static_cast<size_t>(iterations_), {});
-    for (auto& o : result_.outputs) o.assign(output_nodes_.size(), 0);
-
-    // Cold start: every slot fires at its first occurrence; afterwards only
-    // change events (or writer conflicts on a slot's output cell) wake it.
-    for (int s = 0; s < static_cast<int>(slots_.size()); ++s)
-      schedule(s, slots_[static_cast<size_t>(s)].kind == SlotKind::kInput
-                      ? 0
-                      : slots_[static_cast<size_t>(s)].step);
-
-    if (trace != nullptr) {
-      for (int64_t gs = 0; gs < total_; ++gs) {
-        drain((gs + 1) * 8);
-        trace->regs.push_back(regs_);
+    SimResult result;
+    result.outputs.assign(static_cast<size_t>(iterations_),
+                          std::vector<int64_t>(g_.output_nodes().size(), 0));
+    for (int64_t it = 0; it < iterations_; ++it) {
+      // Input ports carry the *next* iteration's values; a boundary load
+      // past the last provided vector holds its register.
+      const bool next_ok = it + 1 < static_cast<int64_t>(inputs_.size());
+      auto& out = result.outputs[static_cast<size_t>(it)];
+      for (const StepPlan& st : plan_) {
+        for (int i : st.starts) {
+          const Start& s = starts_[static_cast<size_t>(i)];
+          const int64_t v0 = read(s.in0, it);
+          inflight_[static_cast<size_t>(i)] =
+              s.binary ? apply_op(s.op, v0, read(s.in1, it)) : v0;
+        }
+        for (const auto& [k, r] : st.samples)
+          out[static_cast<size_t>(k)] = regs_[static_cast<size_t>(r)];
+        for (size_t i = 0; i < st.passes.size(); ++i)
+          scratch_[i] = read(st.passes[i].second, it);
+        for (size_t i = 0; i < st.passes.size(); ++i)
+          set_fu(st.passes[i].first, scratch_[i]);
+        for (int i : st.lands)
+          set_fu(starts_[static_cast<size_t>(i)].fu,
+                 inflight_[static_cast<size_t>(i)]);
+        for (size_t i = 0; i < st.loads.size(); ++i) {
+          const auto& [r, src] = st.loads[i];
+          scratch_[i] = src.kind == Endpoint::Kind::kInPort && !next_ok
+                            ? regs_[static_cast<size_t>(r)]
+                            : read(src, it);
+        }
+        for (size_t i = 0; i < st.loads.size(); ++i) {
+          int64_t& reg = regs_[static_cast<size_t>(st.loads[i].first)];
+          if (reg == scratch_[i]) continue;
+          if (event_sim_hooks::drop_load_after > 0 &&
+              ++event_sim_hooks::load_count ==
+                  event_sim_hooks::drop_load_after) {
+            event_sim_hooks::drop_load_after = 0;  // one-shot lost update
+            continue;
+          }
+          reg = scratch_[i];
+        }
+        if (trace != nullptr) trace->regs.push_back(regs_);
       }
-    } else {
-      drain(total_ * 8);
     }
     if (stats != nullptr) {
-      stats->firings = firings_;
-      stats->wakes = wakes_;
-      stats->slots = static_cast<long>(slots_.size());
-      stats->heap_peak = heap_peak_;
+      stats->slots = slots_;
+      stats->firings = slots_ * static_cast<long>(iterations_);
     }
-    return std::move(result_);
+    return result;
   }
 
  private:
-  void build_slots() {
-    const Schedule& sched = prob_.sched();
-    input_nodes_ = g_.input_nodes();
-    output_nodes_ = g_.output_nodes();
-    const int nfu = prob_.fus().size();
-    const int nreg = prob_.num_regs();
+  void compile() {
+    const AllocProblem& prob = nl_.binding().prob();
+    const HwSpec& hw = prob.sched().hw();
+    const int L = prob.sched().length();
+    const int nfu = prob.fus().size();
+    plan_.assign(static_cast<size_t>(L), {});
 
-    port_index_.assign(static_cast<size_t>(g_.num_nodes()), -1);
-    for (size_t i = 0; i < input_nodes_.size(); ++i)
-      port_index_[static_cast<size_t>(input_nodes_[i])] = static_cast<int>(i);
+    port_of_.assign(static_cast<size_t>(g_.num_nodes()), -1);
+    const auto input_nodes = g_.input_nodes();
+    for (size_t i = 0; i < input_nodes.size(); ++i)
+      port_of_[static_cast<size_t>(input_nodes[i])] = static_cast<int>(i);
 
-    // Static (FU, step) occupancy and landing masks. A result lands at
-    // step a.step + d - 1 of EVERY iteration from 0 on (the schedule keeps
+    // Static (FU, step) mask of executing and landing steps. A result
+    // lands at step a.step + d - 1 of EVERY iteration (the schedule keeps
     // finish steps inside the period), so the reference's dynamic fresh[]
-    // test is a static predicate here — that is what makes pass-through
-    // slots compile-time enumerable.
-    std::vector<char> busy(static_cast<size_t>(nfu) * static_cast<size_t>(L_),
+    // test is a static predicate — that is what makes pass slots
+    // compile-time.
+    std::vector<char> busy(static_cast<size_t>(nfu) * static_cast<size_t>(L),
                            0);
-    std::vector<char> lands(busy.size(), 0);
-    for (const FuAction& a : nl_.fu_actions()) {
-      const Node& nd = g_.node(a.node);
-      const int occ = sched.hw().occupancy(nd.kind);
-      const int d = sched.hw().delay(nd.kind);
-      SALSA_CHECK_MSG(a.step + d - 1 < L_,
-                      "event engine: result lands outside the period");
-      for (int s = a.step; s < a.step + occ; ++s)
-        busy[static_cast<size_t>(a.fu) * static_cast<size_t>(L_) +
-             static_cast<size_t>(s)] = 1;
-      lands[static_cast<size_t>(a.fu) * static_cast<size_t>(L_) +
-            static_cast<size_t>(a.step + d - 1)] = 1;
-    }
-
-    reg_readers_.assign(static_cast<size_t>(nreg), {});
-    reg_writers_.assign(static_cast<size_t>(nreg), {});
-    fu_readers_next_.assign(static_cast<size_t>(nfu), {});
-    fu_readers_same_.assign(static_cast<size_t>(nfu), {});
-    fu_writers_.assign(static_cast<size_t>(nfu), {});
-    port_readers_.assign(input_nodes_.size(), {});
-
-    auto subscribe = [&](int slot, const Endpoint& e, bool load_phase) {
-      switch (e.kind) {
-        case Endpoint::Kind::kRegOut:
-          reg_readers_[static_cast<size_t>(e.id)].push_back(slot);
-          break;
-        case Endpoint::Kind::kFuOut:
-          (load_phase ? fu_readers_same_ : fu_readers_next_)
-              [static_cast<size_t>(e.id)]
-                  .push_back(slot);
-          break;
-        case Endpoint::Kind::kInPort:
-          port_readers_[static_cast<size_t>(
-                            port_index_[static_cast<size_t>(e.id)])]
-              .push_back(slot);
-          break;
-        case Endpoint::Kind::kConstPort:
-          break;  // constants never change; nothing to subscribe to
-      }
+    auto at = [L](FuId f, int t) {
+      return static_cast<size_t>(f) * static_cast<size_t>(L) +
+             static_cast<size_t>(t);
     };
-
     for (const FuAction& a : nl_.fu_actions()) {
       const Node& nd = g_.node(a.node);
-      Slot s;
-      s.kind = SlotKind::kFuStart;
-      s.phase = kPhCompute;
-      s.step = a.step;
-      s.a = a.fu;
-      s.op = nd.kind;
-      s.delay = sched.hw().delay(nd.kind);
-      s.binary = nd.kind != OpKind::kNop;
-      const auto src0 = nl_.source_of(Pin{Pin::Kind::kFuIn0, a.fu}, a.step);
-      SALSA_CHECK_MSG(src0.has_value(), "operand pin has no route");
-      s.src0 = *src0;
-      if (s.binary) {
-        const auto src1 = nl_.source_of(Pin{Pin::Kind::kFuIn1, a.fu}, a.step);
-        SALSA_CHECK_MSG(src1.has_value(), "operand pin has no route");
-        s.src1 = *src1;
-      }
-      const int id = add_slot(s);
-      subscribe(id, s.src0, false);
-      if (s.binary) subscribe(id, s.src1, false);
-      fu_writers_[static_cast<size_t>(a.fu)].push_back(id);
+      const int d = hw.delay(nd.kind);
+      SALSA_CHECK_MSG(a.step + d - 1 < L,
+                      "simulate_events: result lands outside the period");
+      for (int s = a.step; s < a.step + hw.occupancy(nd.kind); ++s)
+        busy[at(a.fu, s)] = 1;
+      busy[at(a.fu, a.step + d - 1)] = 1;  // a landing also blocks a pass
+      const bool binary = nd.kind != OpKind::kNop;
+      const int id = static_cast<int>(starts_.size());
+      starts_.push_back(Start{a.fu, nd.kind, binary,
+                              route(Pin::Kind::kFuIn0, a.fu, a.step),
+                              binary ? route(Pin::Kind::kFuIn1, a.fu, a.step)
+                                     : Src{}});
+      plan_[static_cast<size_t>(a.step)].starts.push_back(id);
+      plan_[static_cast<size_t>(a.step + d - 1)].lands.push_back(id);
     }
+    inflight_.assign(starts_.size(), 0);
 
     // Pass-throughs: forward pin 0 at every (FU, step) where the unit is
     // neither executing nor landing a result and the pin is routed.
     for (FuId f = 0; f < nfu; ++f)
-      for (int t = 0; t < L_; ++t) {
-        const size_t ix = static_cast<size_t>(f) * static_cast<size_t>(L_) +
-                          static_cast<size_t>(t);
-        if (busy[ix] || lands[ix]) continue;
+      for (int t = 0; t < L; ++t) {
+        if (busy[at(f, t)]) continue;
         const auto src = nl_.source_of(Pin{Pin::Kind::kFuIn0, f}, t);
-        if (!src.has_value()) continue;
-        Slot s;
-        s.kind = SlotKind::kPass;
-        s.phase = kPhPassEval;
-        s.step = t;
-        s.a = f;
-        s.src0 = *src;
-        const int id = add_slot(s);
-        subscribe(id, s.src0, false);
-        fu_writers_[static_cast<size_t>(f)].push_back(id);
+        if (src.has_value())
+          plan_[static_cast<size_t>(t)].passes.emplace_back(f, lower(*src));
       }
 
-    for (const RegLoad& ld : nl_.reg_loads()) {
-      Slot s;
-      s.kind = SlotKind::kRegLoad;
-      s.phase = kPhLoadEval;
-      s.step = ld.step;
-      s.a = ld.reg;
-      s.src0 = ld.src;
-      const int id = add_slot(s);
-      subscribe(id, s.src0, true);
-      reg_writers_[static_cast<size_t>(ld.reg)].push_back(id);
-    }
+    for (const RegLoad& ld : nl_.reg_loads())
+      plan_[static_cast<size_t>(ld.step)].loads.emplace_back(ld.reg,
+                                                             lower(ld.src));
 
+    const auto output_nodes = g_.output_nodes();
     for (const OutSample& o : nl_.out_samples()) {
-      Slot s;
-      s.kind = SlotKind::kOutSample;
-      s.phase = kPhSample;
-      s.step = o.step;
-      size_t k = 0;
-      while (output_nodes_[k] != o.node) ++k;
-      s.a = static_cast<int>(k);
-      s.src0 = Endpoint{Endpoint::Kind::kRegOut, o.reg};
-      add_slot(s);  // samples fire every iteration; no subscription needed
+      const auto k = std::find(output_nodes.begin(), output_nodes.end(),
+                               o.node) -
+                     output_nodes.begin();
+      plan_[static_cast<size_t>(o.step)].samples.emplace_back(
+          static_cast<int>(k), o.reg);
     }
 
-    for (size_t i = 0; i < input_nodes_.size(); ++i) {
-      Slot s;
-      s.kind = SlotKind::kInput;
-      s.phase = kPhInput;
-      s.step = 0;
-      s.a = static_cast<int>(i);
-      add_slot(s);
+    size_t width = 0;
+    for (const StepPlan& st : plan_) {
+      width = std::max({width, st.passes.size(), st.loads.size()});
+      slots_ += static_cast<long>(st.starts.size() + st.samples.size() +
+                                  st.passes.size() + st.loads.size());
     }
+    scratch_.assign(width, 0);
   }
 
-  int add_slot(const Slot& s) {
-    slots_.push_back(s);
-    sched_key_.push_back(-1);
-    fired_key_.push_back(-1);
-    return static_cast<int>(slots_.size()) - 1;
+  Src route(Pin::Kind pin, FuId f, int step) const {
+    const auto src = nl_.source_of(Pin{pin, f}, step);
+    SALSA_CHECK_MSG(src.has_value(), "operand pin has no route");
+    return lower(*src);
   }
 
-  // ---- queue ---------------------------------------------------------------
-
-  void push(const Ev& e) {
-    heap_.push(e);
-    if (static_cast<long>(heap_.size()) > heap_peak_)
-      heap_peak_ = static_cast<long>(heap_.size());
-  }
-
-  /// Raw occurrence scheduling (cold start and periodic self-reschedule).
-  void schedule(int slot, int64_t gstep) {
-    if (gstep >= total_) return;
-    const int64_t key = gstep * 8 + slots_[static_cast<size_t>(slot)].phase;
-    if (sched_key_[static_cast<size_t>(slot)] == key) return;
-    sched_key_[static_cast<size_t>(slot)] = key;
-    push(Ev{key, kEvFire, slot, 0});
-  }
-
-  /// Change-event wake-up: schedules the slot's first occurrence whose read
-  /// can observe a change that became visible at `min_gstep`. This is the
-  /// seam the --break-event-skip mutation attacks: dropping one wake leaves
-  /// a component asleep on stale inputs, and the differential harness must
-  /// see the divergence.
-  void wake(int slot, int64_t min_gstep) {
-    const Slot& s = slots_[static_cast<size_t>(slot)];
-    const int64_t base = min_gstep - s.step;
-    const int64_t k = base <= 0 ? 0 : (base + L_ - 1) / L_;
-    const int64_t gstep = s.step + k * L_;
-    if (gstep >= total_) return;
-    const int64_t key = gstep * 8 + s.phase;
-    if (sched_key_[static_cast<size_t>(slot)] == key) return;
-    if (event_sim_hooks::drop_wake_after > 0 &&
-        ++event_sim_hooks::wake_count == event_sim_hooks::drop_wake_after) {
-      // Model a lost scheduled event: the dedup key is recorded as if the
-      // occurrence had been enqueued, so redundant wakes from other operands
-      // cannot heal the hole and the component computes on stale inputs.
-      event_sim_hooks::drop_wake_after = 0;
-      sched_key_[static_cast<size_t>(slot)] = key;
-      return;
-    }
-    ++wakes_;
-    sched_key_[static_cast<size_t>(slot)] = key;
-    push(Ev{key, kEvFire, slot, 0});
-  }
-
-  // ---- state reads ---------------------------------------------------------
-
-  int64_t read(const Endpoint& e) const {
+  Src lower(const Endpoint& e) const {
     switch (e.kind) {
-      case Endpoint::Kind::kRegOut:
-        return regs_[static_cast<size_t>(e.id)];
       case Endpoint::Kind::kConstPort:
-        return g_.node(e.id).cvalue;
-      case Endpoint::Kind::kInPort: {
-        const int p = port_index_[static_cast<size_t>(e.id)];
-        SALSA_CHECK_MSG(port_ok_[static_cast<size_t>(p)] != 0,
-                        "input port read past the provided iterations");
-        return port_val_[static_cast<size_t>(p)];
-      }
+        return Src{e.kind, g_.node(e.id).cvalue};
+      case Endpoint::Kind::kInPort:
+        return Src{e.kind, port_of_[static_cast<size_t>(e.id)]};
+      case Endpoint::Kind::kRegOut:
       case Endpoint::Kind::kFuOut:
-        SALSA_CHECK_MSG(fu_has_[static_cast<size_t>(e.id)] != 0,
-                        "FU output read while no result is present");
-        return fu_out_[static_cast<size_t>(e.id)];
+        return Src{e.kind, e.id};
     }
     fail("bad endpoint");
   }
 
-  // ---- change propagation --------------------------------------------------
-
-  void on_fu_changed(FuId f, int64_t gstep, int origin) {
-    for (int s : fu_readers_next_[static_cast<size_t>(f)]) wake(s, gstep + 1);
-    for (int s : fu_readers_same_[static_cast<size_t>(f)]) wake(s, gstep);
-    for (int s : fu_writers_[static_cast<size_t>(f)])
-      if (s != origin) wake(s, gstep + 1);
-  }
-
-  void on_reg_changed(RegId r, int64_t gstep, int origin) {
-    for (int s : reg_readers_[static_cast<size_t>(r)]) wake(s, gstep + 1);
-    for (int s : reg_writers_[static_cast<size_t>(r)])
-      if (s != origin) wake(s, gstep + 1);
-  }
-
-  // ---- firing --------------------------------------------------------------
-
-  void fire(int slot, int64_t gstep) {
-    const Slot& s = slots_[static_cast<size_t>(slot)];
+  int64_t read(const Src& s, int64_t iter) const {
     switch (s.kind) {
-      case SlotKind::kInput: {
-        const int64_t next_iter = gstep / L_ + 1;
-        const bool ok = next_iter < static_cast<int64_t>(inputs_.size());
-        const int64_t v =
-            ok ? inputs_[static_cast<size_t>(next_iter)][static_cast<size_t>(
-                     s.a)]
-               : 0;
-        if ((port_ok_[static_cast<size_t>(s.a)] != 0) != ok ||
-            (ok && port_val_[static_cast<size_t>(s.a)] != v)) {
-          port_ok_[static_cast<size_t>(s.a)] = ok ? 1 : 0;
-          port_val_[static_cast<size_t>(s.a)] = v;
-          for (int r : port_readers_[static_cast<size_t>(s.a)])
-            wake(r, gstep);
-        }
-        schedule(slot, gstep + L_);
-        break;
-      }
-      case SlotKind::kFuStart: {
-        const int64_t v0 = read(s.src0);
-        const int64_t value =
-            s.binary ? apply_op(s.op, v0, read(s.src1)) : v0;
-        push(Ev{(gstep + s.delay - 1) * 8 + kPhLand, kEvLand, slot, value});
-        break;
-      }
-      case SlotKind::kOutSample: {
-        result_.outputs[static_cast<size_t>(gstep / L_)]
-                       [static_cast<size_t>(s.a)] =
-            regs_[static_cast<size_t>(s.src0.id)];
-        schedule(slot, gstep + L_);
-        break;
-      }
-      case SlotKind::kPass:
-        push(Ev{gstep * 8 + kPhPassApply, kEvApply, slot, read(s.src0)});
-        break;
-      case SlotKind::kRegLoad: {
-        if (s.src0.kind == Endpoint::Kind::kInPort) {
-          const int p = port_index_[static_cast<size_t>(s.src0.id)];
-          if (port_ok_[static_cast<size_t>(p)] == 0)
-            break;  // past the last provided iteration: hold the register
-          push(Ev{gstep * 8 + kPhLoadApply, kEvApply, slot,
-                  port_val_[static_cast<size_t>(p)]});
-          break;
-        }
-        push(Ev{gstep * 8 + kPhLoadApply, kEvApply, slot, read(s.src0)});
-        break;
-      }
+      case Endpoint::Kind::kRegOut:
+        return regs_[static_cast<size_t>(s.id)];
+      case Endpoint::Kind::kConstPort:
+        return s.id;
+      case Endpoint::Kind::kInPort:
+        SALSA_CHECK_MSG(iter + 1 < static_cast<int64_t>(inputs_.size()),
+                        "input port read past the provided iterations");
+        return inputs_[static_cast<size_t>(iter + 1)]
+                      [static_cast<size_t>(s.id)];
+      case Endpoint::Kind::kFuOut:
+        SALSA_CHECK_MSG(fu_has_[static_cast<size_t>(s.id)] != 0,
+                        "FU output read while no result is present");
+        return fu_out_[static_cast<size_t>(s.id)];
     }
+    fail("bad endpoint");
   }
 
-  void apply(const Ev& e, int64_t gstep) {
-    const Slot& s = slots_[static_cast<size_t>(e.slot)];
-    if (e.type == kEvLand || s.kind == SlotKind::kPass) {
-      const FuId f = s.a;
-      const bool had = fu_has_[static_cast<size_t>(f)] != 0;
-      fu_has_[static_cast<size_t>(f)] = 1;
-      if (!had || fu_out_[static_cast<size_t>(f)] != e.payload) {
-        fu_out_[static_cast<size_t>(f)] = e.payload;
-        on_fu_changed(f, gstep, e.slot);
-      }
-    } else {
-      const RegId r = s.a;
-      if (regs_[static_cast<size_t>(r)] != e.payload) {
-        regs_[static_cast<size_t>(r)] = e.payload;
-        on_reg_changed(r, gstep, e.slot);
-      }
-    }
+  void set_fu(FuId f, int64_t v) {
+    fu_out_[static_cast<size_t>(f)] = v;
+    fu_has_[static_cast<size_t>(f)] = 1;
   }
-
-  void drain(int64_t limit_key) {
-    while (!heap_.empty() && heap_.top().key < limit_key) {
-      const Ev e = heap_.top();
-      heap_.pop();
-      const int64_t gstep = e.key / 8;
-      if (e.type == kEvFire) {
-        if (fired_key_[static_cast<size_t>(e.slot)] == e.key) continue;
-        fired_key_[static_cast<size_t>(e.slot)] = e.key;
-        ++firings_;
-        fire(e.slot, gstep);
-      } else {
-        apply(e, gstep);
-      }
-    }
-  }
-
-  // ---- members -------------------------------------------------------------
 
   const Netlist& nl_;
   std::span<const std::vector<int64_t>> inputs_;
-  const AllocProblem& prob_;
   const Cdfg& g_;
-  const int L_;
   const int iterations_;
-  const int64_t total_;
 
-  std::vector<Slot> slots_;
-  std::vector<int64_t> sched_key_;  // dedup: key currently scheduled
-  std::vector<int64_t> fired_key_;  // dedup: key last fired
-  std::vector<NodeId> input_nodes_;
-  std::vector<NodeId> output_nodes_;
-  std::vector<int> port_index_;
+  std::vector<StepPlan> plan_;
+  std::vector<Start> starts_;
+  std::vector<int> port_of_;
+  long slots_ = 0;
 
-  std::vector<std::vector<int>> reg_readers_, reg_writers_;
-  std::vector<std::vector<int>> fu_readers_next_, fu_readers_same_;
-  std::vector<std::vector<int>> fu_writers_;
-  std::vector<std::vector<int>> port_readers_;
-
-  std::vector<int64_t> regs_, fu_out_, port_val_;
-  std::vector<char> fu_has_, port_ok_;
-
-  std::priority_queue<Ev, std::vector<Ev>, EvAfter> heap_;
-  SimResult result_;
-  long firings_ = 0, wakes_ = 0, heap_peak_ = 0;
+  std::vector<int64_t> regs_, fu_out_, inflight_, scratch_;
+  std::vector<char> fu_has_;
 };
 
 }  // namespace
@@ -471,7 +252,7 @@ SimResult simulate_events(const Netlist& nl,
                           std::span<const int64_t> initial_states,
                           int iterations, SimTrace* trace,
                           EventSimStats* stats) {
-  EventSim sim(nl, inputs, initial_states, iterations);
+  CompiledSim sim(nl, inputs, initial_states, iterations);
   return sim.run(trace, stats);
 }
 
@@ -493,12 +274,12 @@ std::string diff_sim_engines(const Netlist& nl,
       if (want[k] != got[k]) {
         os << "iteration " << i << ", output '"
            << g.node(g.output_nodes()[k]).name
-           << "': event=" << got[k] << " full-eval=" << want[k];
+           << "': compiled=" << got[k] << " full-eval=" << want[k];
         return os.str();
       }
   }
   if (full_trace.regs.size() != event_trace.regs.size()) {
-    os << "trace lengths differ: event=" << event_trace.regs.size()
+    os << "trace lengths differ: compiled=" << event_trace.regs.size()
        << " full-eval=" << full_trace.regs.size();
     return os.str();
   }
@@ -506,7 +287,7 @@ std::string diff_sim_engines(const Netlist& nl,
     for (size_t r = 0; r < full_trace.regs[gs].size(); ++r)
       if (full_trace.regs[gs][r] != event_trace.regs[gs][r]) {
         os << "global step " << gs << ", r" << r
-           << ": event=" << event_trace.regs[gs][r]
+           << ": compiled=" << event_trace.regs[gs][r]
            << " full-eval=" << full_trace.regs[gs][r];
         return os.str();
       }

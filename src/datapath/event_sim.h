@@ -1,17 +1,18 @@
-// Event-driven simulation of an allocated datapath. Where the full-eval
+// Compiled static-slot simulation of an allocated datapath. The binding is
+// statically scheduled: every register load, FU operation, output sample
+// and pass-through route is fixed per control step. So where the full-eval
 // engine (datapath/simulator.h) rescans every FU action, register load and
 // pass-through candidate on every global step — O(netlist) per step, with a
 // per-FU scan that makes large generated designs quadratic — this engine
-// compiles the netlist into per-slot components once and then processes a
-// time-ordered event queue: a component re-evaluates only when one of its
-// input endpoints changed (or another writer disturbed its output cell)
-// since it last fired. Idle steps cost nothing; stable subgraphs settle and
-// go silent. Semantics are pinned signal-for-signal and cycle-for-cycle to
-// the full-eval engine: the two must produce identical output streams AND
-// identical per-step register traces (hence identical VCD dumps) on every
-// netlist — diff_sim_engines() is that contract, and the differential
+// lowers the netlist once into per-step straight-line lists (FU starts,
+// output samples, pass-throughs, landings, register loads) and replays them
+// every period. Semantics are pinned signal-for-signal and cycle-for-cycle
+// to the full-eval engine: the two must produce identical output streams
+// AND identical per-step register traces (hence identical VCD dumps) on
+// every netlist — diff_sim_engines() is that contract, and the differential
 // harness (tests/test_sim_differential.cpp, salsa_audit --sim) enforces it
-// the same way verify.cpp backs the bitplanes.
+// the same way verify.cpp backs the bitplanes. (The header keeps its
+// historical name: this engine replaced an event-queue simulator.)
 #pragma once
 
 #include <span>
@@ -22,30 +23,26 @@
 
 namespace salsa {
 
-// Mutation hooks (salsa_audit --break-event-skip): when armed, the Nth
-// change-event wake-up is dropped AND its dedup key is recorded as if the
-// occurrence had been enqueued — a lost scheduled event. Redundant wakes
-// from a component's other operands cannot heal the hole, so the slot
-// computes on stale inputs: exactly the bug class the event model risks
-// over the always-reevaluate reference, and the differential harness must
-// report the resulting stale signal. wake_count advances only while armed,
-// so callers arm relative to its current value; a hook left nonzero after
-// a run means the mutation never fired and proved nothing.
+// Mutation hooks (salsa_audit --break-sim-load): when armed, the Nth
+// register-load apply that would change its register is dropped — a lost
+// register update, so the register keeps its stale value and every later
+// read of it is wrong. The differential harness must report the resulting
+// trace divergence. load_count advances only while armed, so callers arm
+// relative to its current value; a hook left nonzero after a run means the
+// mutation never fired and proved nothing.
 namespace event_sim_hooks {
-inline long drop_wake_after = 0;
-inline long wake_count = 0;
+inline long drop_load_after = 0;
+inline long load_count = 0;
 }  // namespace event_sim_hooks
 
-/// Counters the event engine reports alongside its results; the wall-clock
-/// record (salsa_audit --sim-wall) and EXPERIMENTS.md quote them.
+/// Counters the compiled engine reports alongside its results; the
+/// wall-clock record (salsa_audit --sim-wall) and EXPERIMENTS.md quote them.
 struct EventSimStats {
-  long firings = 0;     ///< slot evaluations actually executed
-  long wakes = 0;       ///< change-event wake-ups delivered
-  long slots = 0;       ///< compiled static slots (netlist size proxy)
-  long heap_peak = 0;   ///< max simultaneous pending events
+  long slots = 0;    ///< compiled per-period entries (netlist size proxy)
+  long firings = 0;  ///< entries executed: always slots x iterations
 };
 
-/// Drop-in equivalent of simulate() on the event engine: same inputs
+/// Drop-in equivalent of simulate() on the compiled engine: same inputs
 /// contract (inputs[i] feeds iteration i; the boundary load of the last
 /// simulated iteration needs inputs[iterations] when present), same
 /// SimResult/SimTrace shapes, identical values.
@@ -65,7 +62,7 @@ std::string diff_sim_engines(const Netlist& nl,
                              int iterations);
 
 /// Seeded random-stimulus differential (the shape of
-/// random_equivalence_check, but event-vs-full-eval instead of
+/// random_equivalence_check, but compiled-vs-full-eval instead of
 /// datapath-vs-evaluator).
 std::string random_engine_diff(const Netlist& nl, int iterations,
                                uint64_t seed);

@@ -27,8 +27,9 @@ struct SimTrace {
 };
 
 /// Which simulation engine to run. kFullEval is the always-reevaluate
-/// reference (this file); kEventDriven is the event-queue engine
-/// (datapath/event_sim.h). Both produce identical results by contract.
+/// reference (this file); kEventDriven is the compiled static-slot engine
+/// (datapath/event_sim.h; the enumerator keeps the name of the event-queue
+/// engine it replaced). Both produce identical results by contract.
 enum class SimEngine { kFullEval, kEventDriven };
 
 /// The register image "before time zero": cells occupying step 0 hold

@@ -1,6 +1,10 @@
 #pragma once
 
+#include <cerrno>
+#include <cstdlib>
 #include <string>
+
+#include "util/diagnostics.h"
 
 namespace salsa {
 
@@ -12,6 +16,21 @@ inline std::string numbered(const char* prefix, long long n) {
   std::string s(prefix);
   s += std::to_string(n);
   return s;
+}
+
+/// Parses the whole of `text` as a decimal integer in [lo, hi] (lo >= 0);
+/// throws salsa::Error naming `what` otherwise. "4x", "abc", "", " 3",
+/// "-2" and out-of-range values are rejected, never read as a prefix or 0.
+inline long long parse_int(const std::string& text, long long lo,
+                           long long hi, const std::string& what) {
+  char* end = nullptr;
+  errno = 0;
+  const long long n = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || text[0] < '0' || text[0] > '9' || *end != '\0' ||
+      errno == ERANGE || n < lo || n > hi)
+    fail(what + " must be an integer in " + std::to_string(lo) + ".." +
+         std::to_string(hi) + "; got '" + text + "'");
+  return n;
 }
 
 }  // namespace salsa

@@ -88,16 +88,13 @@ TEST(SegmentMutation, SeededWindowShrinkIsCaught) {
   // drift behind. The differential forces hook-fired transactions to
   // commit, so the drift cannot hide behind a rollback's journal restore.
   FuzzTarget target("ewf");
-  seg_window_hooks::break_claim_window_after =
-      seg_window_hooks::windowed_txns + 25;
   FuzzParams p;
   p.seed = 17;
   p.transactions = 2000;
   p.name = "segment-mutant";
+  p.break_segment_window_at = 25;
   const SegmentDiffResult res = run_segment_diff(target.prob(), p);
-  const bool fired = seg_window_hooks::break_claim_window_after == 0;
-  seg_window_hooks::break_claim_window_after = 0;  // disarm on any path
-  ASSERT_TRUE(fired) << "the window-shrink hook never fired";
+  ASSERT_TRUE(res.window_break_fired) << "the window-shrink hook never fired";
   ASSERT_FALSE(res.ok)
       << "a shrunken claim window slipped past the differential";
   EXPECT_GE(res.divergence, 0);

@@ -1,12 +1,13 @@
-// The engine-pair differential harness: the event-driven simulator
+// The engine-pair differential harness: the compiled static-slot simulator
 // (datapath/event_sim.h) must match the full-evaluation reference
 // (datapath/simulator.h) signal-for-signal and cycle-for-cycle — identical
 // output streams, identical per-step register traces, byte-identical VCD
 // dumps — on the 1992 benchmarks, random CDFGs, and generated corpus
-// designs. The mutation test proves the harness has teeth: a single dropped
-// change-event wake-up must surface as a divergence.
+// designs. The mutation test proves the harness has teeth: a single lost
+// register update must surface as a divergence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "bench_suite/dct.h"
@@ -165,18 +166,11 @@ INSTANTIATE_TEST_SUITE_P(Families, GeneratedEnginesAgree,
                          });
 
 // ---------------------------------------------------------------------------
-// Activity accounting. A slot fires at most once per occurrence (the dedup
-// contract — firings can never exceed slots x iterations), and on a design
-// with a single-tenant stable cell the compare-and-set actually skips
-// occurrences. Note what this does NOT claim: on real bindings the
-// registers and FU outputs are time-multiplexed, so their cells change
-// every period even under constant inputs and nearly all slots legitimately
-// refire (EWF fires exactly slots x iterations). The engine's asymptotic
-// win is eliminating the full-eval per-step rescan over every FU action and
-// register load, which the sim-smoke wall-clock gate measures.
-TEST(EventEngine, FiringsBoundedAndStableCellsSkip) {
-  // Tiny stateless chain: m = a*3; s = m+a; output s. Under a constant
-  // input stream some cells settle, so strict skipping is observable.
+// Activity accounting. The binding is statically scheduled, so the compiled
+// engine executes every lowered entry once per period: firings are exactly
+// slots x iterations, with no data-dependent skipping to get wrong.
+TEST(EventEngine, FiringsEqualSlotsTimesIterations) {
+  // Tiny stateless chain: m = a*3; s = m+a; output s.
   Cdfg g("tiny");
   const ValueId a = g.add_input("a");
   const ValueId c = g.add_const(3);
@@ -202,32 +196,36 @@ TEST(EventEngine, FiringsBoundedAndStableCellsSkip) {
   const SimResult full = simulate(nl, inputs, states, iterations);
   ASSERT_EQ(ev.outputs, full.outputs);
   ASSERT_GT(stats.slots, 0);
-  const long ceiling = stats.slots * static_cast<long>(iterations);
-  EXPECT_LE(stats.firings, ceiling);  // dedup: one firing per occurrence
-  EXPECT_LT(stats.firings, ceiling);  // and stable cells really skip
+  EXPECT_EQ(stats.firings, stats.slots * static_cast<long>(iterations));
 }
 
 // ---------------------------------------------------------------------------
-// Mutation: a lost scheduled event — the Nth change-event wake-up is
-// dropped and its occurrence marked handled, so redundant wakes cannot heal
-// it — must produce a divergence the differential harness reports at every
-// probed position, and each armed hook must actually fire (a leftover armed
-// hook proves nothing was tested).
-TEST(EventEngine, DroppedWakeIsCaught) {
+// Mutation: a lost register update — the Nth register-load apply that would
+// change its register is dropped — must produce a divergence the
+// differential harness reports at every probed position, and each armed
+// hook must actually fire (a leftover armed hook proves nothing was tested).
+TEST(EventEngine, LostRegisterUpdateIsCaught) {
   Ctx ctx(make_ewf(), 0, false, 1);
   Binding b = initial_allocation(*ctx.prob);
   Netlist nl(b);
   ASSERT_EQ(random_engine_diff(nl, 6, 99), "");
 
-  // Probe positions spread across the whole run (~345 wakes for this
-  // configuration; clamping just keeps the arm in range if that drifts).
-  for (long n = 1; n <= 331; n += 30) {
-    event_sim_hooks::drop_wake_after = event_sim_hooks::wake_count + n;
+  // Count the run's changing loads with an arm too far out to fire.
+  const long base = event_sim_hooks::load_count;
+  event_sim_hooks::drop_load_after = base + (1L << 40);
+  ASSERT_EQ(random_engine_diff(nl, 6, 99), "");
+  event_sim_hooks::drop_load_after = 0;
+  const long changing = event_sim_hooks::load_count - base;
+  ASSERT_GE(changing, 10);
+
+  // Probe positions spread across the whole run.
+  for (long n = 1; n <= changing; n += std::max(1L, (changing - 1) / 10)) {
+    event_sim_hooks::drop_load_after = event_sim_hooks::load_count + n;
     const std::string diff = random_engine_diff(nl, 6, 99);
-    const bool fired = event_sim_hooks::drop_wake_after == 0;
-    event_sim_hooks::drop_wake_after = 0;
+    const bool fired = event_sim_hooks::drop_load_after == 0;
+    event_sim_hooks::drop_load_after = 0;
     ASSERT_TRUE(fired) << "mutation hook never fired at position " << n;
-    EXPECT_NE(diff, "") << "dropped wake " << n << " went undetected";
+    EXPECT_NE(diff, "") << "lost register update " << n << " went undetected";
   }
 }
 

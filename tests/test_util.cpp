@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string>
+#include <sys/wait.h>
 
 #include "util/diagnostics.h"
 #include "util/rng.h"
+#include "util/strings.h"
 #include "util/table.h"
 
 namespace salsa {
@@ -92,6 +96,57 @@ TEST(Diagnostics, CheckFailureThrowsWithLocation) {
 }
 
 TEST(Diagnostics, FailThrows) { EXPECT_THROW(fail("boom"), Error); }
+
+TEST(ParseInt, AcceptsWholeDecimalsInRange) {
+  EXPECT_EQ(parse_int("0", 0, 9, "n"), 0);
+  EXPECT_EQ(parse_int("42", 1, 100, "n"), 42);
+  EXPECT_EQ(parse_int("9223372036854775807", 0, INT64_MAX, "seed"),
+            INT64_MAX);
+}
+
+TEST(ParseInt, RejectsMalformedAndOutOfRange) {
+  for (const char* bad : {"abc", "4x", "", " 3", "-2", "+3", "1e3", "0x10",
+                          "101", "99999999999999999999"}) {
+    try {
+      parse_int(bad, 0, 100, "--flag");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--flag must be an integer in "
+                                           "0..100"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Runs a command line, returning its exit status and combined output.
+std::pair<int, std::string> run_command(const std::string& cmd) {
+  std::string out;
+  FILE* p = ::popen((cmd + " 2>&1").c_str(), "r");
+  if (p == nullptr) return {-1, out};
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, p) != nullptr) out += buf;
+  const int status = ::pclose(p);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+TEST(NumericFlags, ToolsRejectMalformedCounts) {
+  // A malformed count stops the tool with a diagnostic instead of running
+  // with a silently truncated prefix (or zero) of the value.
+  for (const char* args : {"--transactions abc", "--threads 4x",
+                           "--sim-ops 12q", "--seed -1"}) {
+    const auto [code, out] =
+        run_command(std::string(SALSA_AUDIT_BIN) + " " + args);
+    EXPECT_NE(code, 0) << args;
+    EXPECT_NE(out.find("must be an integer in"), std::string::npos)
+        << args << ": " << out;
+  }
+  const auto [code, out] =
+      run_command(std::string(SALSA_CLI_BIN) + " design.salsa --steps 4x");
+  EXPECT_NE(code, 0);
+  EXPECT_NE(out.find("--steps must be an integer in"), std::string::npos)
+      << out;
+}
 
 TEST(TextTable, RendersAlignedColumns) {
   TextTable t;

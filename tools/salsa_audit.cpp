@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "util/bitplane.h"
 #include "util/flat_map.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 using namespace salsa;
 
@@ -68,7 +70,7 @@ audit modes
   --scaling          fuzz a generated mid-size cascade under the
                      size-sampled auditor (fails if sampling never engages)
   --scaling-ops N    target operation count for --scaling (default: 5000)
-  --sim              engine-pair differential: event-driven vs full-eval
+  --sim              engine-pair differential: compiled vs full-eval
                      simulation on every target (initial and scrambled
                      bindings), one generated cascade, and the
                      memory-traffic subsystem end to end
@@ -83,7 +85,8 @@ mutation tests (expected output: a VIOLATION; CI asserts non-zero exit)
   --break-flat-erase N     Nth FlatMap erase skips backward-shift compaction
   --break-bitplane-word N  Nth ranged busy-plane word update left broken
   --break-segment-window N Nth windowed claim re-add drops its last segment
-  --break-event-skip N     Nth event wake-up lost (occurrence marked handled)
+  --break-sim-load N       Nth register-changing load of the compiled
+                           simulator lost (register keeps its stale value)
 )";
 
 std::vector<int> parse_thread_list(const std::string& arg) {
@@ -91,7 +94,8 @@ std::vector<int> parse_thread_list(const std::string& arg) {
   std::string cur;
   for (char c : arg + ",") {
     if (c == ',') {
-      if (!cur.empty()) out.push_back(std::atoi(cur.c_str()));
+      if (!cur.empty())
+        out.push_back(static_cast<int>(parse_int(cur, 1, 1024, "--threads")));
       cur.clear();
     } else {
       cur += c;
@@ -193,10 +197,10 @@ IndexAuditResult run_bitplane_audit(const AllocProblem& prob, uint64_t seed,
 }
 
 // --sim: the engine-pair differential on one allocation problem — the
-// event-driven simulator against the full-evaluation reference on the
-// initial binding and again after a move scramble. Engine CHECK failures
-// (stale-signal reads, lost events) count as caught violations, same as a
-// trace divergence — that is the point of the --break-event-skip mutation.
+// compiled simulator against the full-evaluation reference on the initial
+// binding and again after a move scramble. Engine CHECK failures
+// (stale-signal reads) count as caught violations, same as a trace
+// divergence — that is the point of the --break-sim-load mutation.
 struct SimAuditResult {
   long checks = 0;
   bool ok = true;
@@ -237,10 +241,11 @@ SimAuditResult run_sim_audit(const AllocProblem& prob, uint64_t seed) {
 
 // --sim-wall: wall-clock rows for the sim gate. Absolute timings are
 // meaningless on shared runners (same argument as the scaling gate), so
-// scripts/check_bench_gate.py (gate "sim") judges the ratio of event-engine
-// ns-per-firing on a large cascade to ns-per-firing on EWF, measured in the
-// same run: a per-step rescan creeping back into the event engine makes the
-// big design's per-firing cost blow up while EWF's barely moves.
+// scripts/check_bench_gate.py (gate "sim") judges the ratio of
+// compiled-engine ns-per-firing on a large cascade to ns-per-firing on EWF,
+// measured in the same run: a per-step rescan creeping back into the
+// compiled engine makes the big design's per-firing cost blow up while
+// EWF's barely moves. The timed run includes the one-time lowering.
 int run_sim_wall(int ops, uint64_t seed) {
   struct Case {
     const char* family;
@@ -250,8 +255,11 @@ int run_sim_wall(int ops, uint64_t seed) {
   bool first = true;
   // EWF needs enough iterations to time stably on a noisy shared runner;
   // each row is additionally measured several times and reported as the
-  // minimum (the standard noise-floor estimate).
-  for (const Case& c : {Case{"ewf", 5000}, Case{"cascade", 3}}) {
+  // minimum (the standard noise-floor estimate). The cascade runs enough
+  // iterations that the compiled engine's replay, not its one-time
+  // lowering, sets the row: at 3 iterations lowering was ~90% of it, and a
+  // per-step rescan mutant passed the gate.
+  for (const Case& c : {Case{"ewf", 5000}, Case{"cascade", 30}}) {
     std::unique_ptr<FuzzTarget> target;
     std::unique_ptr<GeneratedDesign> gen;
     const AllocProblem* prob = nullptr;
@@ -315,9 +323,7 @@ int run_sim_wall(int ops, uint64_t seed) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::string target = "all";
   FuzzParams fuzz;
   bool determinism = false, dump = false;
@@ -335,32 +341,43 @@ int main(int argc, char** argv) {
   int sim_ops = 2000;
   bool sim_wall = false;
   int sim_wall_ops = 10000;
-  long break_event_skip = 0;
+  long break_sim_load = 0;
   int restarts = 6;
   std::vector<int> threads{1, 2, 8};
 
+  constexpr long long kMaxCount = 1000000000;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
       if (i + 1 >= argc) fail("missing argument after " + arg);
       return argv[++i];
     };
+    // Every numeric flag is a whole decimal integer in [lo, hi].
+    auto next_int = [&](long long lo, long long hi) {
+      return parse_int(next(), lo, hi, arg);
+    };
     if (arg == "--target") {
       target = next();
     } else if (arg == "--transactions") {
-      fuzz.transactions = std::atol(next().c_str());
+      fuzz.transactions = next_int(0, kMaxCount);
     } else if (arg == "--seed") {
-      fuzz.seed = std::strtoull(next().c_str(), nullptr, 10);
+      fuzz.seed = static_cast<uint64_t>(
+          next_int(0, std::numeric_limits<long long>::max()));
     } else if (arg == "--every") {
-      fuzz.audit.every = std::atol(next().c_str());
+      fuzz.audit.every = next_int(1, kMaxCount);
     } else if (arg == "--commit-prob") {
-      fuzz.commit_prob = std::atof(next().c_str());
+      const std::string v = next();
+      char* end = nullptr;
+      fuzz.commit_prob = std::strtod(v.c_str(), &end);
+      if (v.empty() || *end != '\0' ||
+          !(fuzz.commit_prob >= 0 && fuzz.commit_prob <= 1))
+        fail("--commit-prob must be a probability in 0..1; got '" + v + "'");
     } else if (arg == "--weighted") {
       fuzz.uniform_kinds = false;
     } else if (arg == "--determinism") {
       determinism = true;
     } else if (arg == "--restarts") {
-      restarts = std::atoi(next().c_str());
+      restarts = static_cast<int>(next_int(1, 10000));
     } else if (arg == "--threads") {
       threads = parse_thread_list(next());
     } else if (arg == "--artifacts") {
@@ -368,25 +385,25 @@ int main(int argc, char** argv) {
     } else if (arg == "--inject-broken-undo") {
       // Mutation testing: break the Nth rollback's undo and watch the
       // digest check catch it (expected output: a VIOLATION).
-      fuzz.inject_broken_undo_at = std::atol(next().c_str());
+      fuzz.inject_broken_undo_at = next_int(1, kMaxCount);
     } else if (arg == "--index") {
       index_audit = true;
     } else if (arg == "--index-commits") {
-      index_commits = std::atol(next().c_str());
+      index_commits = next_int(1, kMaxCount);
     } else if (arg == "--break-flat-erase") {
       // Mutation testing: skip the Nth erase's backward-shift compaction
       // and watch the rebuild cross-check catch the orphaned keys.
       index_audit = true;
-      break_flat_erase = std::atol(next().c_str());
+      break_flat_erase = next_int(1, kMaxCount);
     } else if (arg == "--bitplane") {
       bitplane_audit = true;
     } else if (arg == "--bitplane-commits") {
-      bitplane_commits = std::atol(next().c_str());
+      bitplane_commits = next_int(1, kMaxCount);
     } else if (arg == "--break-bitplane-word") {
       // Mutation testing: cripple the Nth ranged busy-plane word update and
       // watch the packed-vs-scalar differential catch the stale bit.
       bitplane_audit = true;
-      break_bitplane_word = std::atol(next().c_str());
+      break_bitplane_word = next_int(1, kMaxCount);
     } else if (arg == "--segment") {
       segment_audit = true;
     } else if (arg == "--break-segment-window") {
@@ -395,28 +412,28 @@ int main(int argc, char** argv) {
       // cache from the binding — the window-vs-whole differential must
       // catch it.
       segment_audit = true;
-      break_segment_window = std::atol(next().c_str());
+      break_segment_window = next_int(1, kMaxCount);
     } else if (arg == "--scaling") {
       scaling = true;
     } else if (arg == "--scaling-ops") {
       scaling = true;
-      scaling_ops = std::atoi(next().c_str());
+      scaling_ops = static_cast<int>(next_int(1, 1000000));
     } else if (arg == "--sim") {
       sim_audit = true;
     } else if (arg == "--sim-ops") {
       sim_audit = true;
-      sim_ops = std::atoi(next().c_str());
+      sim_ops = static_cast<int>(next_int(1, 1000000));
     } else if (arg == "--sim-wall") {
       sim_wall = true;
     } else if (arg == "--sim-wall-ops") {
       sim_wall = true;
-      sim_wall_ops = std::atoi(next().c_str());
-    } else if (arg == "--break-event-skip") {
-      // Mutation testing: lose the Nth change-event wake-up (its occurrence
-      // is marked handled, so redundant wakes cannot heal it) and watch the
-      // engine differential catch the stale signal.
+      sim_wall_ops = static_cast<int>(next_int(1, 1000000));
+    } else if (arg == "--break-sim-load") {
+      // Mutation testing: lose the Nth register-changing load of the
+      // compiled simulator and watch the engine differential catch the
+      // stale register.
       sim_audit = true;
-      break_event_skip = std::atol(next().c_str());
+      break_sim_load = next_int(1, kMaxCount);
     } else if (arg == "--dump") {
       dump = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -530,16 +547,9 @@ int main(int argc, char** argv) {
     }
 
     if (segment_audit) {
-      if (break_segment_window > 0) {
-        // Like the other mutation counters: the windowed-transaction
-        // counter is process-wide and cumulative, so arm relative to its
-        // current value in case an earlier target already consumed the
-        // mutation.
-        seg_window_hooks::break_claim_window_after =
-            seg_window_hooks::windowed_txns + break_segment_window;
-      }
       FuzzParams sp = fuzz;
       sp.name = name + "-segment";
+      sp.break_segment_window_at = break_segment_window;
       const SegmentDiffResult sgr = run_segment_diff(t.prob(), sp);
       std::printf(
           "segm  %-6s seed %llu: %ld txns (%ld commits, %ld windowed) "
@@ -559,27 +569,25 @@ int main(int argc, char** argv) {
                      "  no transaction took a segment window — the windowed "
                      "path was never exercised\n");
       }
-      if (break_segment_window > 0 &&
-          seg_window_hooks::break_claim_window_after != 0) {
+      if (break_segment_window > 0 && !sgr.window_break_fired) {
         // The armed mutation never fired (fewer windowed transactions than
         // N): the run proved nothing, which a CI step expecting a VIOLATION
         // must not mistake for the wall standing.
         failed = true;
-        seg_window_hooks::break_claim_window_after = 0;
         std::fprintf(stderr,
                      "  --break-segment-window %ld never fired (only %ld "
                      "windowed transactions)\n",
-                     break_segment_window, seg_window_hooks::windowed_txns);
+                     break_segment_window, sgr.windowed);
       }
     }
 
     if (sim_audit) {
-      if (break_event_skip > 0) {
+      const long loads_before = event_sim_hooks::load_count;
+      if (break_sim_load > 0) {
         // Like the other mutation counters: process-wide, advances only
         // while armed — arm relative to the current value so earlier
-        // targets' wakes don't consume it.
-        event_sim_hooks::drop_wake_after =
-            event_sim_hooks::wake_count + break_event_skip;
+        // targets' loads don't consume it.
+        event_sim_hooks::drop_load_after = loads_before + break_sim_load;
       }
       const SimAuditResult sr = run_sim_audit(t.prob(), fuzz.seed);
       std::printf(
@@ -590,23 +598,24 @@ int main(int argc, char** argv) {
         failed = true;
         std::fprintf(stderr, "  %s\n", sr.failure.c_str());
       }
-      if (break_event_skip > 0 && event_sim_hooks::drop_wake_after != 0) {
-        // The armed mutation never fired (fewer wakes than N): the run
-        // proved nothing, which a CI step expecting a VIOLATION must not
-        // mistake for the wall standing.
+      if (break_sim_load > 0 && event_sim_hooks::drop_load_after != 0) {
+        // The armed mutation never fired (fewer changing loads than N): the
+        // run proved nothing, which a CI step expecting a VIOLATION must
+        // not mistake for the wall standing.
         failed = true;
-        event_sim_hooks::drop_wake_after = 0;
+        event_sim_hooks::drop_load_after = 0;
         std::fprintf(stderr,
-                     "  --break-event-skip %ld never fired (only %ld "
-                     "wake-ups)\n",
-                     break_event_skip, event_sim_hooks::wake_count);
+                     "  --break-sim-load %ld never fired (only %ld "
+                     "register-changing loads)\n",
+                     break_sim_load,
+                     event_sim_hooks::load_count - loads_before);
       }
     }
 
     if (sim_audit && !dump && name == names.front()) {
       // Once per run (independent of --target): the differential on one
-      // generated cascade — the design sizes the event engine exists for —
-      // and the memory-traffic subsystem end to end, where the event-
+      // generated cascade — the design sizes the compiled engine is for —
+      // and the memory-traffic subsystem end to end, where the compiled-
       // simulated datapath's sampled outputs become LSU programs checked
       // against the zero-latency magic memory.
       try {
@@ -722,4 +731,17 @@ int main(int argc, char** argv) {
     }
   }
   return failed ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed flag value, or any other salsa::Error that escapes the
+  // audits, ends the run with a one-line diagnostic instead of an abort.
+  try {
+    return run(argc, argv);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "salsa_audit: %s\n", e.what());
+    return 2;
+  }
 }
