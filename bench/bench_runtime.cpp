@@ -185,16 +185,6 @@ void BM_BitplaneOps(benchmark::State& state) {
 }
 BENCHMARK(BM_BitplaneOps)->Arg(17)->Arg(64)->Arg(130);
 
-void BM_InitialAllocation(benchmark::State& state) {
-  uint64_t seed = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        initial_allocation(*ewf17().problem, InitialOptions{.seed = ++seed})
-            .regs_used());
-  }
-}
-BENCHMARK(BM_InitialAllocation);
-
 void BM_ImprovementTrial(benchmark::State& state) {
   Binding b = initial_allocation(*ewf17().problem);
   uint64_t seed = 0;
@@ -387,6 +377,41 @@ BENCHMARK(BM_ScalingMoves)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(50000);
 
+// ---- initial allocation wall ----------------------------------------------
+// The constructive start's cost per storage placed, the wall behind
+// BENCH_initial.json: EWF (arg 0 = 0) and a generated filter cascade (arg
+// 0 = 1) of arg 1 operators. The cascade splits storages, so both placement
+// paths run. The gate judges the cascade/EWF ratio of ns_per_storage: a
+// per-candidate allocation or set lookup creeping back into placement
+// multiplies the cascade's per-storage cost (over a thousand registers,
+// scores of candidates per storage) far more than EWF's (fourteen).
+void BM_InitialAllocation(benchmark::State& state) {
+  const int fam = static_cast<int>(state.range(0));
+  const AllocProblem& prob =
+      fam == 0 ? *ewf17().problem
+               : *scaling_design(fam, static_cast<int>(state.range(1))).problem;
+  uint64_t seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        initial_allocation(prob, InitialOptions{.seed = ++seed}).regs_used());
+  }
+  const int storages = prob.lifetimes().num_storages();
+  // kIsRate | kInvert turns storages placed into seconds per storage; the
+  // 1e-9 scale makes that nanoseconds.
+  state.counters["ns_per_storage"] = benchmark::Counter(
+      1e-9 * static_cast<double>(state.iterations()) * storages,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["design_ops"] =
+      static_cast<double>(prob.cdfg().operations().size());
+  state.counters["storages"] = storages;
+  state.counters["regs"] = prob.num_regs();
+  state.counters["family"] = fam;
+}
+BENCHMARK(BM_InitialAllocation)
+    ->Args({0, 0})  // EWF: the per-storage reference point
+    ->Args({1, 5000})
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_ForceDirectedSchedule(benchmark::State& state) {
   Cdfg g = make_ewf();
   HwSpec hw;
@@ -407,8 +432,9 @@ BENCHMARK(BM_SimulateIteration);
 
 // Display reporter that additionally captures every run carrying a
 // moves_per_sec counter into throughput rows — or, for runs that also carry
-// a design_ops counter, into scaling rows — for the machine-readable
-// records written by main(). Counters reach the reporter already finalized
+// a design_ops counter, into scaling rows — and every run carrying an
+// ns_per_storage counter into initial-allocation rows, for the
+// machine-readable records written by main(). Counters reach the reporter already finalized
 // (rates divided by elapsed time). Aggregate rows (mean/median/stddev/cv of
 // repeated runs) are skipped: their counters are statistics of statistics
 // (a stddev row reports the stddev of the threads counter as "threads: 0"),
@@ -419,10 +445,24 @@ class ThroughputCapture : public benchmark::ConsoleReporter {
  public:
   std::vector<benchharness::ThroughputRow> rows;
   std::vector<benchharness::ScalingRow> scaling_rows;
+  std::vector<benchharness::InitialRow> initial_rows;
 
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const Run& run : reports) {
       if (run.run_type == Run::RT_Aggregate) continue;
+      if (const auto ns = run.counters.find("ns_per_storage");
+          ns != run.counters.end()) {
+        benchharness::InitialRow row;
+        row.benchmark = run.benchmark_name();
+        row.ns_per_storage = ns->second.value;
+        row.family = scaling_family_name(
+            static_cast<int>(run.counters.at("family").value));
+        row.ops = static_cast<int>(run.counters.at("design_ops").value);
+        row.storages = static_cast<int>(run.counters.at("storages").value);
+        row.regs = static_cast<int>(run.counters.at("regs").value);
+        initial_rows.push_back(std::move(row));
+        continue;
+      }
       const auto it = run.counters.find("moves_per_sec");
       if (it == run.counters.end()) continue;
       const auto ops = run.counters.find("design_ops");
@@ -460,9 +500,10 @@ class ThroughputCapture : public benchmark::ConsoleReporter {
 // moves_per_sec counter lands in BENCH_throughput.json (override the path
 // with SALSA_BENCH_JSON), and every BM_ScalingMoves run in
 // BENCH_scaling.json (SALSA_SCALING_JSON), both stamped with the tree's
-// `git describe`. The scaling record is written only when the filter
-// actually ran scaling benchmarks, so a throughput-only run cannot clobber
-// the committed wall with an empty array.
+// `git describe`. Every BM_InitialAllocation run lands in
+// BENCH_initial.json (SALSA_INITIAL_JSON). Each record is written only when
+// the filter actually ran its benchmarks, so a run of one wall cannot
+// clobber another committed wall with an empty array.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
@@ -470,14 +511,22 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   const std::string git = benchharness::git_describe();
-  const char* path = std::getenv("SALSA_BENCH_JSON");
-  benchharness::write_throughput_json(
-      path != nullptr ? path : "BENCH_throughput.json", reporter.rows, git);
+  if (!reporter.rows.empty()) {
+    const char* path = std::getenv("SALSA_BENCH_JSON");
+    benchharness::write_throughput_json(
+        path != nullptr ? path : "BENCH_throughput.json", reporter.rows, git);
+  }
   if (!reporter.scaling_rows.empty()) {
     const char* spath = std::getenv("SALSA_SCALING_JSON");
     benchharness::write_scaling_json(
         spath != nullptr ? spath : "BENCH_scaling.json",
         reporter.scaling_rows, git);
+  }
+  if (!reporter.initial_rows.empty()) {
+    const char* ipath = std::getenv("SALSA_INITIAL_JSON");
+    benchharness::write_initial_json(
+        ipath != nullptr ? ipath : "BENCH_initial.json", reporter.initial_rows,
+        git);
   }
   return 0;
 }

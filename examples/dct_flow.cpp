@@ -4,7 +4,6 @@
 //
 // Usage: dct_flow [extra_regs=0]
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "baseline/traditional.h"
@@ -13,12 +12,22 @@
 #include "core/allocator.h"
 #include "datapath/simulator.h"
 #include "sched/fu_search.h"
+#include "util/strings.h"
 #include "util/table.h"
 
 using namespace salsa;
 
 int main(int argc, char** argv) {
-  const int extra_regs = argc > 1 ? std::atoi(argv[1]) : 0;
+  int extra_regs = 0;
+  try {
+    if (argc > 1)
+      extra_regs =
+          static_cast<int>(parse_int(argv[1], 0, 100000, "extra_regs"));
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\nusage: dct_flow [extra_regs=0]\n",
+                 e.what());
+    return 2;
+  }
   Cdfg g = make_dct();
   std::printf("DCT: %d adds, %d subs, %d const-multiplies (Figure 5)\n\n",
               g.count(OpKind::kAdd), g.count(OpKind::kSub),

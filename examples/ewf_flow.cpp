@@ -6,7 +6,6 @@
 //
 // Usage: ewf_flow [csteps=17] [pipelined=0] [extra_regs=0]
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "baseline/traditional.h"
@@ -17,14 +16,28 @@
 #include "datapath/verilog.h"
 #include "sched/asap_alap.h"
 #include "sched/fu_search.h"
+#include "util/strings.h"
 #include "util/table.h"
 
 using namespace salsa;
 
 int main(int argc, char** argv) {
-  const int csteps = argc > 1 ? std::atoi(argv[1]) : 17;
-  const bool pipelined = argc > 2 && std::atoi(argv[2]) != 0;
-  const int extra_regs = argc > 3 ? std::atoi(argv[3]) : 0;
+  int csteps = 17, extra_regs = 0;
+  bool pipelined = false;
+  try {
+    if (argc > 1)
+      csteps = static_cast<int>(parse_int(argv[1], 0, 100000, "csteps"));
+    if (argc > 2) pipelined = parse_int(argv[2], 0, 1, "pipelined") != 0;
+    if (argc > 3)
+      extra_regs =
+          static_cast<int>(parse_int(argv[3], 0, 100000, "extra_regs"));
+  } catch (const Error& e) {
+    std::fprintf(stderr,
+                 "error: %s\nusage: ewf_flow [csteps=17] [pipelined=0] "
+                 "[extra_regs=0]\n",
+                 e.what());
+    return 2;
+  }
 
   Cdfg g = make_ewf();
   std::printf("EWF: %d adds, %d const-multiplies, %zu states\n",

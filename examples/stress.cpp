@@ -5,7 +5,7 @@
 //
 // Usage: stress [iterations=100] [base_seed=1]
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "bench_suite/random_cdfg.h"
 #include "core/allocator.h"
@@ -13,12 +13,26 @@
 #include "datapath/simulator.h"
 #include "sched/asap_alap.h"
 #include "sched/fu_search.h"
+#include "util/strings.h"
 
 using namespace salsa;
 
 int main(int argc, char** argv) {
-  const int iterations = argc > 1 ? std::atoi(argv[1]) : 100;
-  const uint64_t base = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 1;
+  int iterations = 100;
+  uint64_t base = 1;
+  try {
+    if (argc > 1)
+      iterations =
+          static_cast<int>(parse_int(argv[1], 0, 100000000, "iterations"));
+    if (argc > 2)
+      base = static_cast<uint64_t>(parse_int(
+          argv[2], 0, std::numeric_limits<long long>::max(), "base_seed"));
+  } catch (const Error& e) {
+    std::fprintf(stderr,
+                 "error: %s\nusage: stress [iterations=100] [base_seed=1]\n",
+                 e.what());
+    return 2;
+  }
 
   int passed = 0;
   for (int i = 0; i < iterations; ++i) {

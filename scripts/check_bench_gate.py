@@ -17,6 +17,12 @@ Gates (one row of GATES each):
   sim      compiled-engine ns_per_firing, 10k-op cascade vs EWF
            (salsa_audit --sim-wall; wall BENCH_sim.json). A per-step
            rescan over FU actions or register loads does the same.
+  initial  BM_InitialAllocation ns_per_storage, ~5k-op cascade vs EWF
+           (bench_runtime with SALSA_INITIAL_JSON; wall
+           BENCH_initial.json). A per-candidate std::set lookup or vector
+           allocation back in the placement loop costs the cascade's
+           scores of candidate registers per storage far more than EWF's
+           few.
 
 Usage: check_bench_gate.py <gate> <fresh.json> [<wall.json>]
        check_bench_gate.py --self-test [<gate> ...]
@@ -25,8 +31,8 @@ The wall defaults to the gate's committed file in the repository root.
 
 --self-test runs the unit tests for the ratio math and the missing-row /
 NaN / non-positive error paths of the named gates (all gates by default;
-wired into ctest as scaling_gate_selftest and sim_gate_selftest and into
-the scaling-smoke/sim-smoke CI jobs), exiting non-zero on any failure.
+wired into ctest as <gate>_gate_selftest and into the scaling-smoke and
+sim-smoke CI jobs), exiting non-zero on any failure.
 """
 
 import json
@@ -47,6 +53,10 @@ GATES = {
     "sim": Gate("BENCH_sim.json", "ns_per_firing", "firing",
                 ("cascade", 5000), ("ewf", 0), 2.0,
                 "a per-step rescan crept back into the compiled engine"),
+    "initial": Gate("BENCH_initial.json", "ns_per_storage", "storage",
+                    ("cascade", 5000), ("ewf", 0), 2.0,
+                    "a per-candidate set/alloc crept back into initial "
+                    "placement"),
 }
 
 

@@ -52,6 +52,13 @@ before any fuzzer runs:
       swap the implementation out from under the caller, and a second
       #ifdef jungle grows outside the audited kernels.
 
+  checked-numeric-parse
+      Command-line front ends (tools/, examples/) parse numbers with
+      util/strings.h parse_int, or with a strto* call whose end pointer is
+      checked afterwards. atoi/atol/atoll/atof, and strto* called with a
+      null end pointer or an end pointer that is never dereferenced, read
+      "4x" as 4 and "abc" as 0 without a diagnostic.
+
 Suppressions:
       // salsa-lint: allow(<check-id>) <one-line rationale>
   on the offending line, or alone on the line above it. The rationale is
@@ -65,7 +72,8 @@ declares what it expects with `// salsa-lint: expect(<check-id>)`;
 nothing unexpected does. A check that silently dies turns CI red.
 
 Usage:
-  salsa_lint.py [paths...]            lint (default: src/ under --root)
+  salsa_lint.py [paths...]            lint (default: src/, tools/ and
+                                      examples/ under --root)
   salsa_lint.py --fixtures DIR        run fixture fire-assertions
   salsa_lint.py --list-checks         print the check catalogue
 
@@ -105,6 +113,9 @@ CHECKS = {
     "simd-intrinsics-confined":
         "raw SIMD intrinsics (_mm*, __m128/__m256/__m512, vector headers) "
         "appear only in src/util/bitplane.h / src/util/bits.h kernels",
+    "checked-numeric-parse":
+        "no atoi/atol/atof, and no strto* without an end-pointer check, "
+        "in the command-line front ends (tools/, examples/)",
     "bad-suppression":
         "salsa-lint: allow() must name a known check and carry a rationale",
 }
@@ -116,6 +127,9 @@ SEAM_EXEMPT_FILES = (
     "src/core/binding.h", "src/core/binding.cpp",
     "src/core/search_engine.h", "src/core/search_engine.cpp",
 )
+# Command-line front ends, whose numeric arguments must be validated
+# (checked-numeric-parse).
+PARSE_DIRS = ("tools", "examples")
 # The sanctioned home of raw SIMD intrinsics (simd-intrinsics-confined).
 SIMD_EXEMPT_FILES = (
     "src/util/bitplane.h", "src/util/bits.h",
@@ -243,6 +257,21 @@ def balance_forward(text, pos, open_ch, close_ch):
     return n
 
 
+def split_top_level(text):
+    """Splits a call's argument text on commas outside nested brackets."""
+    parts, depth, start = [], 0, 0
+    for i, c in enumerate(text):
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+        elif c == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
+
+
 IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -298,7 +327,7 @@ class FileLint:
     """Lints one file: raw text for suppressions, blanked text for tokens."""
 
     def __init__(self, path, rel, text, strict, seam_exempt, clang_facts=None,
-                 simd_exempt=False):
+                 simd_exempt=False, parse_checked=False):
         self.path = path
         self.rel = rel
         self.raw_lines = text.splitlines()
@@ -307,6 +336,7 @@ class FileLint:
         self.strict = strict
         self.seam_exempt = seam_exempt
         self.simd_exempt = simd_exempt
+        self.parse_checked = parse_checked
         self.clang_facts = clang_facts or []
         self.violations = []
         self.allows = {}     # line -> list of (check, reason)
@@ -548,6 +578,40 @@ class FileLint:
                     f"fallback) so the SALSA_BITPLANE_SCALAR leg stays "
                     f"exchangeable")
 
+    # -- check: checked-numeric-parse -------------------------------------
+    UNCHECKED_PARSE_RE = re.compile(r"\b(?:std\s*::\s*)?(atoi|atol|atoll|atof)"
+                                    r"\s*\(")
+    STRTO_RE = re.compile(r"\b(?:std\s*::\s*)?(strto(?:l|ll|ul|ull|f|d|ld|"
+                          r"imax|umax))\s*\(")
+
+    def check_numeric_parse(self):
+        if not self.parse_checked:
+            return
+        for m in self.UNCHECKED_PARSE_RE.finditer(self.code):
+            self.report(
+                line_of(self.code, m.start()), "checked-numeric-parse",
+                f"{m.group(1)}() reads '4x' as 4 and 'abc' as 0 without a "
+                f"diagnostic: use parse_int (util/strings.h)")
+        for m in self.STRTO_RE.finditer(self.code):
+            close = balance_forward(self.code, m.end() - 1, "(", ")")
+            args = split_top_level(self.code[m.end():close - 1])
+            end_arg = args[1].strip() if len(args) > 1 else ""
+            why = None
+            if end_arg in ("", "nullptr", "NULL", "0"):
+                why = "has no end pointer"
+            else:
+                em = re.fullmatch(r"&\s*([A-Za-z_]\w*)", end_arg)
+                if em and not re.search(
+                        r"\*\s*" + re.escape(em.group(1)) + r"\b",
+                        self.code[close:]):
+                    why = f"never checks its end pointer '{em.group(1)}'"
+            if why:
+                self.report(
+                    line_of(self.code, m.start()), "checked-numeric-parse",
+                    f"{m.group(1)}() {why}, so trailing garbage passes "
+                    f"silently: use parse_int (util/strings.h) or test "
+                    f"*end after the call")
+
     def run(self):
         self.scan_directives()
         self.check_unordered_iteration()
@@ -555,6 +619,7 @@ class FileLint:
         self.check_thread_local_scratch()
         self.check_transaction_seam()
         self.check_simd_intrinsics()
+        self.check_numeric_parse()
         # Deduplicate (libclang facts can mirror lexer findings).
         seen = set()
         uniq = []
@@ -669,6 +734,7 @@ def lint_paths(root, paths, engine, compile_commands, force_strict=False):
             rel.startswith(d + "/") or rel == d for d in STRICT_DIRS)
         seam_exempt = rel in SEAM_EXEMPT_FILES
         simd_exempt = rel in SIMD_EXEMPT_FILES
+        parse_checked = any(rel.startswith(d + "/") for d in PARSE_DIRS)
         try:
             with open(path, encoding="utf-8", errors="replace") as f:
                 text = f.read()
@@ -677,7 +743,7 @@ def lint_paths(root, paths, engine, compile_commands, force_strict=False):
             return None
         facts = (clang_facts or {}).get(os.path.realpath(path), [])
         fl = FileLint(path, rel, text, strict, seam_exempt, facts,
-                      simd_exempt=simd_exempt)
+                      simd_exempt=simd_exempt, parse_checked=parse_checked)
         violations.extend(fl.run())
     return violations
 
@@ -695,7 +761,8 @@ def run_fixtures(root, fixtures_dir, engine, compile_commands):
         rel = rel_to_root(root, path)
         with open(path, encoding="utf-8", errors="replace") as f:
             text = f.read()
-        fl = FileLint(path, rel, text, strict=True, seam_exempt=False)
+        fl = FileLint(path, rel, text, strict=True, seam_exempt=False,
+                      parse_checked=True)
         fired = fl.run()
         fired_ids = {v.check for v in fired}
         expected = set(fl.expects)
@@ -724,7 +791,7 @@ def main():
         prog="salsa_lint.py", add_help=True,
         description="SalsaLint: determinism & concurrency-discipline lint")
     ap.add_argument("paths", nargs="*", help="files/dirs to lint "
-                    "(default: src/ under --root)")
+                    "(default: src/, tools/ and examples/ under --root)")
     ap.add_argument("--root", default=None)
     ap.add_argument("--engine", choices=("auto", "lexer", "libclang"),
                     default="auto")
@@ -748,7 +815,7 @@ def main():
         return run_fixtures(root, args.fixtures, args.engine,
                             compile_commands)
 
-    paths = args.paths or ["src"]
+    paths = args.paths or ["src", "tools", "examples"]
     engine = "lexer" if args.engine == "lexer" else args.engine
     if engine == "lexer":
         violations = lint_paths(root, paths, "lexer", compile_commands)

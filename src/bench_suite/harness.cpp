@@ -227,4 +227,27 @@ void write_scaling_json(const std::string& path,
   SALSA_CHECK_MSG(os.good(), "failed writing scaling record " + path);
 }
 
+void write_initial_json(const std::string& path,
+                        const std::vector<InitialRow>& rows,
+                        const std::string& git_version) {
+  warn_if_dirty_tree(git_version, path);
+  std::ofstream os(path);
+  SALSA_CHECK_MSG(os.good(), "cannot open initial-allocation record " + path);
+  os << "[\n";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const InitialRow& r = rows[i];
+    char ns[32];
+    std::snprintf(ns, sizeof ns, "%.10g", r.ns_per_storage);
+    os << "  {\"benchmark\": \"" << r.benchmark << "\", \"family\": \""
+       << r.family << "\", \"ops\": " << r.ops
+       << ", \"storages\": " << r.storages << ", \"regs\": " << r.regs
+       << ", \"ns_per_storage\": " << ns << ", \"git\": \"" << git_version
+       << "\"}" << (i + 1 < rows.size() ? "," : "") << "\n";
+  }
+  os << "]\n";
+  os.close();
+  SALSA_CHECK_MSG(os.good(),
+                  "failed writing initial-allocation record " + path);
+}
+
 }  // namespace salsa::benchharness

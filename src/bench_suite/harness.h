@@ -108,6 +108,18 @@ struct ScalingRow {
   double peak_rss_mb = 0;
 };
 
+/// One row of the initial-allocation record bench_runtime emits
+/// (BENCH_initial.json): the constructive start's cost per storage placed on
+/// one design.
+struct InitialRow {
+  std::string benchmark;
+  std::string family;  ///< generator family ("cascade", ...) or "ewf"
+  int ops = 0;         ///< operator count of the measured design
+  int storages = 0;    ///< storages placed per initial_allocation call
+  int regs = 0;        ///< register budget
+  double ns_per_storage = 0;
+};
+
 /// `git describe --always --dirty --tags` of the tree the benchmark runs
 /// in, or `fallback` when git (or a repository) is unavailable — bench
 /// binaries run from arbitrary build directories.
@@ -126,6 +138,13 @@ void write_throughput_json(const std::string& path,
 /// Overwrites; fails hard on I/O errors like write_throughput_json.
 void write_scaling_json(const std::string& path,
                         const std::vector<ScalingRow>& rows,
+                        const std::string& git_version);
+
+/// Writes the initial-allocation rows to `path` as a JSON array of
+/// {benchmark, family, ops, storages, regs, ns_per_storage, git} objects.
+/// Overwrites; fails hard on I/O errors like write_throughput_json.
+void write_initial_json(const std::string& path,
+                        const std::vector<InitialRow>& rows,
                         const std::string& git_version);
 
 }  // namespace salsa::benchharness

@@ -148,6 +148,22 @@ TEST(NumericFlags, ToolsRejectMalformedCounts) {
       << out;
 }
 
+TEST(NumericFlags, ExamplesRejectMalformedArguments) {
+  // The examples' positional arguments go through the same parser: "4x" is
+  // refused before any work starts, not read as 4.
+  const std::pair<std::string, std::string> runs[] = {
+      {std::string(EWF_FLOW_BIN) + " 4x", "csteps must be an integer in"},
+      {std::string(EWF_FLOW_BIN) + " 17 yes", "pipelined must be"},
+      {std::string(DCT_FLOW_BIN) + " -1", "extra_regs must be"},
+      {std::string(STRESS_BIN) + " 10 1q", "base_seed must be"},
+  };
+  for (const auto& [cmd, diagnostic] : runs) {
+    const auto [code, out] = run_command(cmd);
+    EXPECT_EQ(code, 2) << cmd;
+    EXPECT_NE(out.find(diagnostic), std::string::npos) << cmd << ": " << out;
+  }
+}
+
 TEST(TextTable, RendersAlignedColumns) {
   TextTable t;
   t.header({"name", "value"});
