@@ -434,8 +434,8 @@ BENCHMARK(BM_SimulateIteration);
 // moves_per_sec counter into throughput rows — or, for runs that also carry
 // a design_ops counter, into scaling rows — and every run carrying an
 // ns_per_storage counter into initial-allocation rows, for the
-// machine-readable records written by main(). Counters reach the reporter already finalized
-// (rates divided by elapsed time). Aggregate rows (mean/median/stddev/cv of
+// machine-readable records written by main(). Counters reach the reporter
+// already finalized (rates divided by elapsed time). Aggregate rows (mean/median/stddev/cv of
 // repeated runs) are skipped: their counters are statistics of statistics
 // (a stddev row reports the stddev of the threads counter as "threads: 0"),
 // which polluted the committed baseline until PR 8. Because an explicit
