@@ -55,9 +55,12 @@ before any fuzzer runs:
   checked-numeric-parse
       Command-line front ends (tools/, examples/) parse numbers with
       util/strings.h parse_int, or with a strto* call whose end pointer is
-      checked afterwards. atoi/atol/atoll/atof, and strto* called with a
-      null end pointer or an end pointer that is never dereferenced, read
-      "4x" as 4 and "abc" as 0 without a diagnostic.
+      dereferenced later in the same block. atoi/atol/atoll/atof, sscanf,
+      strto* called with a null end pointer or an end pointer the block
+      never dereferences, and std::sto* without a position argument the
+      block reads again, accept "4x" as 4 without a diagnostic. The check
+      is scoped to the enclosing block, so a later function's `*end` does
+      not vouch for an earlier unchecked call that reuses the name.
 
 Suppressions:
       // salsa-lint: allow(<check-id>) <one-line rationale>
@@ -114,8 +117,9 @@ CHECKS = {
         "raw SIMD intrinsics (_mm*, __m128/__m256/__m512, vector headers) "
         "appear only in src/util/bitplane.h / src/util/bits.h kernels",
     "checked-numeric-parse":
-        "no atoi/atol/atof, and no strto* without an end-pointer check, "
-        "in the command-line front ends (tools/, examples/)",
+        "no atoi/atol/atof/sscanf, and no strto*/std::sto* without an "
+        "end-position check, in the command-line front ends (tools/, "
+        "examples/)",
     "bad-suppression":
         "salsa-lint: allow() must name a known check and carry a rationale",
 }
@@ -579,10 +583,44 @@ class FileLint:
                     f"exchangeable")
 
     # -- check: checked-numeric-parse -------------------------------------
-    UNCHECKED_PARSE_RE = re.compile(r"\b(?:std\s*::\s*)?(atoi|atol|atoll|atof)"
-                                    r"\s*\(")
+    UNCHECKED_PARSE_RE = re.compile(r"\b(?:std\s*::\s*)?(atoi|atol|atoll|atof|"
+                                    r"sscanf)\s*\(")
     STRTO_RE = re.compile(r"\b(?:std\s*::\s*)?(strto(?:l|ll|ul|ull|f|d|ld|"
                           r"imax|umax))\s*\(")
+    STO_RE = re.compile(r"\bstd\s*::\s*(sto(?:i|l|ll|ul|ull|f|d|ld))\s*\(")
+
+    def block_end(self, pos):
+        """Index of the '}' closing the block that encloses `pos` (the end
+        of the file at namespace scope)."""
+        depth = 0
+        for i in range(pos, len(self.code)):
+            c = self.code[i]
+            if c == "{":
+                depth += 1
+            elif c == "}":
+                if depth == 0:
+                    return i
+                depth -= 1
+        return len(self.code)
+
+    def unchecked_end_arg(self, m, deref):
+        """Why the call at `m` leaves its end argument (the second) unchecked
+        within its block, or None. `deref` requires a `*name` read after the
+        call (strto*'s char* end); otherwise any later mention of the name
+        counts (std::sto*'s size_t position)."""
+        close = balance_forward(self.code, m.end() - 1, "(", ")")
+        args = split_top_level(self.code[m.end():close - 1])
+        end_arg = args[1].strip() if len(args) > 1 else ""
+        if end_arg in ("", "nullptr", "NULL", "0"):
+            return "has no end pointer" if deref else "has no position argument"
+        em = re.fullmatch(r"&\s*([A-Za-z_]\w*)", end_arg)
+        if not em:
+            return None
+        name = re.escape(em.group(1))
+        use = (r"\*\s*" if deref else r"\b") + name + r"\b"
+        if re.search(use, self.code[close:self.block_end(close)]):
+            return None
+        return f"never checks '{em.group(1)}' in its block"
 
     def check_numeric_parse(self):
         if not self.parse_checked:
@@ -590,27 +628,17 @@ class FileLint:
         for m in self.UNCHECKED_PARSE_RE.finditer(self.code):
             self.report(
                 line_of(self.code, m.start()), "checked-numeric-parse",
-                f"{m.group(1)}() reads '4x' as 4 and 'abc' as 0 without a "
-                f"diagnostic: use parse_int (util/strings.h)")
-        for m in self.STRTO_RE.finditer(self.code):
-            close = balance_forward(self.code, m.end() - 1, "(", ")")
-            args = split_top_level(self.code[m.end():close - 1])
-            end_arg = args[1].strip() if len(args) > 1 else ""
-            why = None
-            if end_arg in ("", "nullptr", "NULL", "0"):
-                why = "has no end pointer"
-            else:
-                em = re.fullmatch(r"&\s*([A-Za-z_]\w*)", end_arg)
-                if em and not re.search(
-                        r"\*\s*" + re.escape(em.group(1)) + r"\b",
-                        self.code[close:]):
-                    why = f"never checks its end pointer '{em.group(1)}'"
-            if why:
-                self.report(
-                    line_of(self.code, m.start()), "checked-numeric-parse",
-                    f"{m.group(1)}() {why}, so trailing garbage passes "
-                    f"silently: use parse_int (util/strings.h) or test "
-                    f"*end after the call")
+                f"{m.group(1)}() reads '4x' as 4 without a diagnostic: use "
+                f"parse_int (util/strings.h)")
+        for pat, deref in ((self.STRTO_RE, True), (self.STO_RE, False)):
+            for m in pat.finditer(self.code):
+                why = self.unchecked_end_arg(m, deref)
+                if why:
+                    self.report(
+                        line_of(self.code, m.start()), "checked-numeric-parse",
+                        f"{m.group(1)}() {why}, so trailing garbage passes "
+                        f"silently: use parse_int (util/strings.h) or test "
+                        f"the end position after the call")
 
     def run(self):
         self.scan_directives()

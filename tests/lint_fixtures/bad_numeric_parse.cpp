@@ -1,10 +1,13 @@
 // Known-bad fixture for checked-numeric-parse: a command-line front end
-// reading its numbers with atoi and with strto* calls whose end pointer is
-// missing or never inspected. Each accepts "4x" as 4 and "abc" as 0 with no
-// diagnostic. This file is linted, never compiled.
+// reading its numbers with atoi, sscanf, std::stoi without a position
+// argument and strto* calls whose end pointer is missing or never
+// inspected. Each accepts "4x" as 4 with no diagnostic. This file is
+// linted, never compiled.
 // salsa-lint: expect(checked-numeric-parse)
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <string>
 
 namespace salsa_fixture {
 
@@ -12,6 +15,8 @@ struct Args {
   int steps = 17;
   uint64_t seed = 1;
   long budget = 0;
+  int width = 16;
+  int depth = 4;
 };
 
 inline Args parse_args(int argc, char** argv) {
@@ -22,6 +27,8 @@ inline Args parse_args(int argc, char** argv) {
     char* end = nullptr;
     a.budget = std::strtol(argv[3], &end, 10);  // end never looked at
   }
+  if (argc > 4) std::sscanf(argv[4], "%d", &a.width);
+  if (argc > 5) a.depth = std::stoi(std::string(argv[5]));
   return a;
 }
 
